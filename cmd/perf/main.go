@@ -437,7 +437,7 @@ func runDistCell(w *workload.Workload, preset string, steps int, seed int64, sha
 		StepsPerSec:    float64(steps) / elapsed.Seconds(),
 		AllocsPerOp:    float64(m1.Mallocs-m0.Mallocs) / float64(steps),
 		BytesPerOp:     float64(m1.TotalAlloc-m0.TotalAlloc) / float64(steps),
-		Makespan:       res.BestMakespan,
+		Makespan:       res.Makespan,
 		GenesEvaluated: res.GenesEvaluated,
 	}
 	if elapsed > 0 {

@@ -7,26 +7,29 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/scheduler"
 )
 
 func TestDeltaEngineHalvesGenesPerAllocationSweep(t *testing.T) {
 	w := benchWorkload(100, 20)
-	run := func(full bool) *core.Result {
-		res, err := core.Run(w.Graph, w.System, core.Options{
-			MaxIterations: 20, Seed: 1, Y: 9, FullEval: full,
-		})
+	run := func(opts ...scheduler.Option) *scheduler.Result {
+		s, err := scheduler.Open("se", w.Graph, w.System, append(opts, scheduler.WithSeed(1), scheduler.WithY(9))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{MaxIterations: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	delta, fullRes := run(false), run(true)
+	delta, fullRes := run(), run(scheduler.WithFullEval())
 
-	if delta.BestMakespan != fullRes.BestMakespan {
-		t.Fatalf("delta best makespan %v != full %v", delta.BestMakespan, fullRes.BestMakespan)
+	if delta.Makespan != fullRes.Makespan {
+		t.Fatalf("delta best makespan %v != full %v", delta.Makespan, fullRes.Makespan)
 	}
 	for i := range delta.Best {
 		if delta.Best[i] != fullRes.Best[i] {

@@ -9,12 +9,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/taskgraph"
 )
 
@@ -62,18 +63,18 @@ func main() {
 
 	// 4. Run simulated evolution. Small problem, so a thorough search:
 	//    negative selection bias (§4.4) and all machines allowed (Y = 0).
-	res, err := core.Run(g, sys, core.Options{
-		Bias:          -0.2,
-		Y:             0,
-		MaxIterations: 500,
-		Seed:          1,
-	})
+	search, err := scheduler.Open("se", g, sys,
+		scheduler.WithBias(-0.2), scheduler.WithY(0), scheduler.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := scheduler.Drive(context.Background(), search, scheduler.Budget{MaxIterations: 500})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("SE best string:          %s\n", res.Best.Format())
 	fmt.Printf("SE schedule length:      %.0f after %d iterations (%v)\n\n",
-		res.BestMakespan, res.Iterations, res.Elapsed.Round(1e6))
+		res.Makespan, res.Iterations, res.Elapsed.Round(1e6))
 
 	// 5. Show the resulting per-machine schedule.
 	start, finish := eval.StartTimes(res.Best)

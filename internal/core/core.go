@@ -22,15 +22,10 @@
 // workload.
 package core
 
-import (
-	"time"
+import "repro/internal/schedule"
 
-	"repro/internal/schedule"
-)
-
-// Options configures one SE run. The zero value is not runnable: at least
-// one stopping criterion (MaxIterations, TimeBudget, NoImprovement or a
-// false-returning OnIteration) must be set.
+// Options configures one SE search. The zero value is runnable: the
+// caller's Step loop (or scheduler.Drive) bounds the search.
 type Options struct {
 	// Bias is the selection bias B (§4.4). The paper uses negative values
 	// (−0.1 … −0.3) for small problems — selecting more tasks, searching
@@ -42,18 +37,6 @@ type Options struct {
 	// during allocation (§4.5, §5.2). 0 (or ≥ machine count) allows all
 	// machines.
 	Y int
-
-	// MaxIterations stops the run after this many generations (0 = no
-	// iteration limit).
-	MaxIterations int
-
-	// TimeBudget stops the run once wall-clock time is exhausted (0 = no
-	// time limit). Used by the paper's Figures 5–7 races against GA.
-	TimeBudget time.Duration
-
-	// NoImprovement stops the run after this many consecutive generations
-	// without improving the best schedule length (0 = disabled).
-	NoImprovement int
 
 	// Seed drives all randomness. Runs with equal Options and inputs are
 	// identical.
@@ -90,58 +73,8 @@ type Options struct {
 	// the first local optimum it reaches. 0 disables (the paper's
 	// behaviour).
 	PerturbAfter int
-
-	// RecordTrace stores per-iteration statistics in Result.Trace
-	// (Figures 3a/3b/4a/4b need them).
-	RecordTrace bool
-
-	// OnIteration, when non-nil, is called after each generation's
-	// selection with that generation's statistics. Returning false stops
-	// the run. The runner package uses it for time-stamped best-so-far
-	// sampling.
-	OnIteration func(IterationStats) bool
 }
 
 // NoInitialMoves disables initial-string perturbation when assigned to
 // Options.InitialMoves.
 const NoInitialMoves = -1
-
-// IterationStats describes one SE generation.
-type IterationStats struct {
-	// Iteration numbers generations from 0.
-	Iteration int
-	// Selected is the size of the selection set S this generation —
-	// the quantity plotted by the paper's Figure 3a.
-	Selected int
-	// CurrentMakespan is the schedule length of the current solution at
-	// the start of the generation — Figure 3b's quantity.
-	CurrentMakespan float64
-	// BestMakespan is the best schedule length seen so far.
-	BestMakespan float64
-	// Elapsed is wall-clock time since the run started.
-	Elapsed time.Duration
-}
-
-// Result is the outcome of an SE run.
-type Result struct {
-	// Best is the best solution string found.
-	Best schedule.String
-	// BestMakespan is Best's schedule length.
-	BestMakespan float64
-	// Iterations is the number of generations executed.
-	Iterations int
-	// Evaluations counts full schedule evaluations across all goroutines,
-	// including delta-engine pins (each pin is one full pass).
-	Evaluations uint64
-	// DeltaEvaluations counts checkpointed suffix replays by the
-	// incremental engine; zero when Options.FullEval is set.
-	DeltaEvaluations uint64
-	// GenesEvaluated counts individual gene evaluation steps across full
-	// and delta evaluations — the measure the incremental engine shrinks.
-	GenesEvaluated uint64
-	// Elapsed is the total wall-clock duration of the run.
-	Elapsed time.Duration
-	// Trace holds per-generation statistics when Options.RecordTrace is
-	// set.
-	Trace []IterationStats
-}

@@ -18,12 +18,9 @@ func testEngine(t *testing.T, opts Options) (*Engine, *workload.Workload) {
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 24, Machines: 5, Connectivity: 2.5, Heterogeneity: 6, CCR: 0.8, Seed: 31,
 	})
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 1
-	}
-	e, err := newEngine(w.Graph, w.System, opts)
+	e, err := NewEngine(w.Graph, w.System, opts)
 	if err != nil {
-		t.Fatalf("newEngine: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
 	return e, w
 }
@@ -196,25 +193,27 @@ func TestPerturbAfterKicksChangeCurrent(t *testing.T) {
 	})
 	// Run long enough to stagnate and kick several times; the run must
 	// stay valid and the best must never regress.
-	res, err := Run(w.Graph, w.System, Options{
-		MaxIterations: 400, Seed: 8, PerturbAfter: 10, RecordTrace: true,
-	})
+	e, err := NewEngine(w.Graph, w.System, Options{Seed: 8, PerturbAfter: 10})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
-	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
+	trace := make([]schedule.Progress, 400)
+	for i := range trace {
+		trace[i] = e.Step()
+	}
+	if err := schedule.Validate(e.Result().Best, w.Graph, w.System); err != nil {
 		t.Fatalf("best invalid after kicks: %v", err)
 	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].BestMakespan > res.Trace[i-1].BestMakespan+1e-9 {
+	for i := 1; i < len(trace); i++ {
+		if trace[i].Best > trace[i-1].Best+1e-9 {
 			t.Fatalf("best-so-far regressed at iteration %d despite kicks", i)
 		}
 	}
 	// The kick must actually disturb the current solution: current
 	// makespan should rise above best at some point after stagnation.
 	kicked := false
-	for _, st := range res.Trace {
-		if st.CurrentMakespan > st.BestMakespan+1e-9 {
+	for _, st := range trace {
+		if st.Current > st.Best+1e-9 {
 			kicked = true
 			break
 		}

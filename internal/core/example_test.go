@@ -7,24 +7,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ExampleRun schedules the paper's Figure-1 worked example with simulated
-// evolution and prints the best schedule length found.
-func ExampleRun() {
-	w := workload.Figure1()
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		Bias:          -0.2, // small problem: thorough search (§4.4)
-		MaxIterations: 200,
-		Seed:          1,
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("schedule length %.0f\n", res.BestMakespan)
-	// Output:
-	// schedule length 2300
-}
-
 // ExampleOptimalFinishTimes reproduces the paper's §4.3 walkthrough: the
 // optimal finish-time bound O₄ of subtask s4 is 1835.
 func ExampleOptimalFinishTimes() {

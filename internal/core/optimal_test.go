@@ -110,22 +110,16 @@ func TestSENeverBeatsBruteForceOptimum(t *testing.T) {
 			t.Fatalf("seed %d: brute force found no solution", seed)
 		}
 
-		res, err := core.Run(w.Graph, w.System, core.Options{
-			MaxIterations: 300,
-			Bias:          -0.3, // small problem: thorough search (§4.4)
-			Seed:          seed,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.BestMakespan < opt-1e-9 {
+		// Small problem: thorough search (§4.4).
+		res, _ := run(t, w, core.Options{Bias: -0.3, Seed: seed}, 300)
+		if res.Makespan < opt-1e-9 {
 			t.Fatalf("seed %d: SE %v beat the enumerated optimum %v — evaluator inconsistency",
-				seed, res.BestMakespan, opt)
+				seed, res.Makespan, opt)
 		}
-		if res.BestMakespan <= opt+1e-9 {
+		if res.Makespan <= opt+1e-9 {
 			exact++
-		} else if res.BestMakespan > 1.15*opt {
-			t.Errorf("seed %d: SE %v more than 15%% above optimum %v", seed, res.BestMakespan, opt)
+		} else if res.Makespan > 1.15*opt {
+			t.Errorf("seed %d: SE %v more than 15%% above optimum %v", seed, res.Makespan, opt)
 		}
 	}
 	if exact < 2 {
@@ -143,19 +137,11 @@ func TestSEWithPerturbationFindsOptimum(t *testing.T) {
 		w := tinyWorkload(seed)
 		opt := bruteForceOptimum(w)
 
-		res, err := core.Run(w.Graph, w.System, core.Options{
-			MaxIterations: 2000,
-			Bias:          -0.3,
-			PerturbAfter:  25,
-			Seed:          seed,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		res, _ := run(t, w, core.Options{Bias: -0.3, PerturbAfter: 25, Seed: seed}, 2000)
+		if res.Makespan < opt-1e-9 {
+			t.Fatalf("seed %d: SE %v beat the enumerated optimum %v", seed, res.Makespan, opt)
 		}
-		if res.BestMakespan < opt-1e-9 {
-			t.Fatalf("seed %d: SE %v beat the enumerated optimum %v", seed, res.BestMakespan, opt)
-		}
-		if res.BestMakespan <= opt+1e-9 {
+		if res.Makespan <= opt+1e-9 {
 			exact++
 		}
 	}
@@ -177,11 +163,14 @@ func TestBaselinesNeverBeatBruteForce(t *testing.T) {
 				t.Errorf("seed %d: %s makespan %v beats enumerated optimum %v", seed, name, ms, opt)
 			}
 		}
-		gaRes, err := ga.Run(w.Graph, w.System, ga.Options{MaxGenerations: 50, Seed: seed, PopulationSize: 10})
+		e, err := ga.NewEngine(w.Graph, w.System, ga.Options{Seed: seed, PopulationSize: 10})
 		if err != nil {
 			t.Fatalf("ga: %v", err)
 		}
-		check("ga", gaRes.BestMakespan)
+		for i := 0; i < 50; i++ {
+			e.Step()
+		}
+		check("ga", e.Result().Makespan)
 		for _, r := range heuristics.All(w.Graph, w.System, seed) {
 			check(r.Name, r.Makespan)
 		}

@@ -12,50 +12,12 @@ import (
 	"repro/internal/xrand"
 )
 
-// Run executes the SE heuristic on graph g over system sys and returns the
-// best solution found. It is a budget loop over an Engine: NewEngine +
-// repeated Step calls produce the bit-identical search, one generation at
-// a time, for callers that need to pause, observe, snapshot or resume the
-// run (see the resumable-search API in internal/scheduler).
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxIterations <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnIteration == nil {
-		return nil, fmt.Errorf("core: no stopping criterion set (MaxIterations, TimeBudget, NoImprovement or OnIteration)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var trace []IterationStats
-	for {
-		st := e.Step()
-		if opts.RecordTrace {
-			trace = append(trace, st)
-		}
-		if opts.OnIteration != nil && !opts.OnIteration(st) {
-			break
-		}
-		if opts.MaxIterations > 0 && e.iter >= opts.MaxIterations {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.sinceImproved >= opts.NoImprovement {
-			break
-		}
-	}
-	res := e.Result()
-	res.Trace = trace
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
 // Engine is one SE search in progress: the paper's
 // evaluation–selection–allocation loop with its state held between
 // generations, so a caller can drive it one Step at a time, read the best
-// solution mid-run, and Snapshot/Restore it across process boundaries.
-// Engines are not safe for concurrent use.
+// solution mid-run, and Snapshot/Restore it across process boundaries. It
+// implements scheduler.Stepper directly. Engines are not safe for
+// concurrent use.
 type Engine struct {
 	g     *taskgraph.Graph
 	sys   *platform.System
@@ -101,8 +63,7 @@ type Engine struct {
 }
 
 // NewEngine validates opts and builds a ready-to-Step engine positioned
-// before its first generation. Unlike Run, no stopping criterion is
-// required: the caller's Step loop bounds the search.
+// before its first generation. The caller's Step loop bounds the search.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	e, err := newShell(g, sys, opts)
 	if err != nil {
@@ -130,9 +91,6 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	}
 	if g.NumItems() != sys.NumItems() {
 		return nil, fmt.Errorf("core: graph has %d items but system is sized for %d", g.NumItems(), sys.NumItems())
-	}
-	if opts.MaxIterations < 0 {
-		return nil, fmt.Errorf("core: MaxIterations = %d, want >= 0", opts.MaxIterations)
 	}
 	if opts.Y < 0 {
 		return nil, fmt.Errorf("core: Y = %d, want >= 0", opts.Y)
@@ -176,11 +134,6 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	return e, nil
 }
 
-// newEngine is kept for the in-package unit tests.
-func newEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
-	return NewEngine(g, sys, opts)
-}
-
 // initialSolution implements §4.2: random machine per task, tasks laid out
 // in (deterministic) topological order, then a random number of random
 // position moves within valid ranges. The perturbation moves positions
@@ -212,10 +165,10 @@ func (e *Engine) initialSolution() schedule.String {
 
 // Step runs one SE generation — evaluation (§4.3), selection (§4.4) and
 // allocation (§4.5), plus any perturbation kick left pending by the
-// previous generation — and returns the generation's statistics. The
-// stats are captured after selection, before allocation, matching what
-// Options.OnIteration historically observed.
-func (e *Engine) Step() IterationStats {
+// previous generation — and returns the generation's observation,
+// captured after selection, before allocation: Current is the makespan of
+// the solution the generation evaluated.
+func (e *Engine) Step() schedule.Progress {
 	stepStart := time.Now()
 	if e.pendingKick {
 		// Iterated-local-search kick (extension, see Options): shuffle
@@ -242,12 +195,12 @@ func (e *Engine) Step() IterationStats {
 	// Selection (§4.4).
 	e.selectTasks()
 
-	stats := IterationStats{
-		Iteration:       e.iter,
-		Selected:        len(e.selected),
-		CurrentMakespan: curMs,
-		BestMakespan:    e.bestMs,
-		Elapsed:         e.elapsed + time.Since(stepStart),
+	stats := schedule.Progress{
+		Iteration: e.iter,
+		Current:   curMs,
+		Best:      e.bestMs,
+		Selected:  len(e.selected),
+		Elapsed:   e.elapsed + time.Since(stepStart),
 	}
 
 	// Allocation (§4.5).
@@ -261,17 +214,12 @@ func (e *Engine) Step() IterationStats {
 	return stats
 }
 
-// Iterations returns the number of completed generations.
-func (e *Engine) Iterations() int { return e.iter }
+// Stalled reports whether the last noImprove generations all failed to
+// improve the best makespan — the Budget.NoImprovement test.
+func (e *Engine) Stalled(noImprove int) bool { return e.sinceImproved >= noImprove }
 
-// SinceImproved returns the count of consecutive completed generations
-// without a best-makespan improvement — the quantity Options.NoImprovement
-// bounds.
-func (e *Engine) SinceImproved() int { return e.sinceImproved }
-
-// Elapsed returns the accumulated in-Step wall-clock time, including time
-// accumulated before a snapshot/restore cycle.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
+// Done reports false: SE has no intrinsic exhaustion point.
+func (e *Engine) Done() bool { return false }
 
 // Result finalizes the engine's state into a Result. The final
 // generation's allocation may have improved on the last recorded best, so
@@ -283,7 +231,7 @@ func (e *Engine) Elapsed() time.Duration { return e.elapsed }
 // perform, nor inflate the effort ledger, or a search inspected mid-run
 // would diverge from an uninspected one. The engine remains steppable
 // afterwards.
-func (e *Engine) Result() *Result {
+func (e *Engine) Result() *schedule.Result {
 	best, bestMs := e.best, e.bestMs
 	if e.probe == nil {
 		e.probe = schedule.NewEvaluator(e.g, e.sys)
@@ -291,16 +239,7 @@ func (e *Engine) Result() *Result {
 	if finalMs := e.probe.Makespan(e.cur); finalMs < bestMs {
 		best, bestMs = e.cur, finalMs
 	}
-	counts := e.Counts()
-	return &Result{
-		Best:             best.Clone(),
-		BestMakespan:     bestMs,
-		Iterations:       e.iter,
-		Evaluations:      counts.Full,
-		DeltaEvaluations: counts.Delta,
-		GenesEvaluated:   counts.Genes,
-		Elapsed:          e.elapsed,
-	}
+	return schedule.NewResult(best.Clone(), bestMs, e.iter, e.Counts(), e.elapsed)
 }
 
 // Counts returns the engine's evaluation-effort ledger summed over the

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
 )
@@ -23,12 +25,39 @@ func smallWorkload() *workload.Workload {
 	})
 }
 
+// run steps a fresh SE engine iters generations and returns its result and
+// the per-generation observations.
+func run(t *testing.T, w *workload.Workload, opts core.Options, iters int) (*schedule.Result, []schedule.Progress) {
+	t.Helper()
+	e, err := core.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	trace := make([]schedule.Progress, iters)
+	for i := range trace {
+		trace[i] = e.Step()
+	}
+	return e.Result(), trace
+}
+
+// drive runs the registered "se" search under b through scheduler.Drive,
+// the one budget loop.
+func drive(t *testing.T, w *workload.Workload, b scheduler.Budget, opts ...scheduler.Option) *scheduler.Result {
+	t.Helper()
+	s, err := scheduler.Open("se", w.Graph, w.System, opts...)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	res, err := scheduler.Drive(context.Background(), s, b)
+	if err != nil {
+		t.Fatalf("Drive: %v", err)
+	}
+	return res
+}
+
 func TestRunReturnsValidSolution(t *testing.T) {
 	w := smallWorkload()
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 50, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 1}, 50)
 	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("SE returned invalid solution: %v", err)
 	}
@@ -52,45 +81,31 @@ func TestRunImprovesOverInitial(t *testing.T) {
 	}
 	initMs := e.Makespan(initial)
 
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		MaxIterations: 100, Seed: 1, Initial: initial,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.BestMakespan >= initMs {
-		t.Errorf("SE did not improve: best %v, initial %v", res.BestMakespan, initMs)
+	res, _ := run(t, w, core.Options{Seed: 1, Initial: initial}, 100)
+	if res.Makespan >= initMs {
+		t.Errorf("SE did not improve: best %v, initial %v", res.Makespan, initMs)
 	}
 }
 
 func TestRunRespectsLowerBound(t *testing.T) {
 	w := smallWorkload()
 	lb := schedule.LowerBound(w.Graph, w.System)
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 200, Seed: 3})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	res, _ := run(t, w, core.Options{Seed: 3}, 200)
+	if res.Makespan < lb-1e-9 {
+		t.Errorf("best makespan %v below lower bound %v", res.Makespan, lb)
 	}
-	if res.BestMakespan < lb-1e-9 {
-		t.Errorf("best makespan %v below lower bound %v", res.BestMakespan, lb)
-	}
-	if got := schedule.NewEvaluator(w.Graph, w.System).Makespan(res.Best); got != res.BestMakespan {
-		t.Errorf("reported best %v but re-evaluation gives %v", res.BestMakespan, got)
+	if got := schedule.NewEvaluator(w.Graph, w.System).Makespan(res.Best); got != res.Makespan {
+		t.Errorf("reported best %v but re-evaluation gives %v", res.Makespan, got)
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
 	w := smallWorkload()
-	opts := core.Options{MaxIterations: 60, Seed: 7, Y: 2, Bias: -0.1}
-	a, err := core.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := core.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if a.BestMakespan != b.BestMakespan {
-		t.Errorf("same seed, different best: %v vs %v", a.BestMakespan, b.BestMakespan)
+	opts := core.Options{Seed: 7, Y: 2, Bias: -0.1}
+	a, _ := run(t, w, opts, 60)
+	b, _ := run(t, w, opts, 60)
+	if a.Makespan != b.Makespan {
+		t.Errorf("same seed, different best: %v vs %v", a.Makespan, b.Makespan)
 	}
 	for i := range a.Best {
 		if a.Best[i] != b.Best[i] {
@@ -101,8 +116,8 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunSeedsDiffer(t *testing.T) {
 	w := smallWorkload()
-	a, _ := core.Run(w.Graph, w.System, core.Options{MaxIterations: 30, Seed: 1})
-	b, _ := core.Run(w.Graph, w.System, core.Options{MaxIterations: 30, Seed: 2})
+	a, _ := run(t, w, core.Options{Seed: 1}, 30)
+	b, _ := run(t, w, core.Options{Seed: 2}, 30)
 	same := true
 	for i := range a.Best {
 		if a.Best[i] != b.Best[i] {
@@ -122,16 +137,10 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 30, Machines: 6, Connectivity: 3, Heterogeneity: 8, CCR: 1, Seed: 9,
 	})
-	serial, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 40, Seed: 5})
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	parallel, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 40, Seed: 5, Workers: 4})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if serial.BestMakespan != parallel.BestMakespan {
-		t.Errorf("serial best %v != parallel best %v", serial.BestMakespan, parallel.BestMakespan)
+	serial, _ := run(t, w, core.Options{Seed: 5}, 40)
+	parallel, _ := run(t, w, core.Options{Seed: 5, Workers: 4}, 40)
+	if serial.Makespan != parallel.Makespan {
+		t.Errorf("serial best %v != parallel best %v", serial.Makespan, parallel.Makespan)
 	}
 	for i := range serial.Best {
 		if serial.Best[i] != parallel.Best[i] {
@@ -142,9 +151,10 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 
 func TestTraceRecording(t *testing.T) {
 	w := smallWorkload()
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 25, Seed: 1, RecordTrace: true})
+	res, err := scheduler.MustGet("se", scheduler.WithSeed(1), scheduler.WithTrace()).
+		Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{MaxIterations: 25})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
 	if len(res.Trace) != 25 {
 		t.Fatalf("Trace length = %d, want 25", len(res.Trace))
@@ -156,13 +166,13 @@ func TestTraceRecording(t *testing.T) {
 		if st.Selected < 0 || st.Selected > 20 {
 			t.Errorf("Trace[%d].Selected = %d out of range", i, st.Selected)
 		}
-		if st.BestMakespan > st.CurrentMakespan+1e-9 && i == 0 {
-			t.Errorf("iteration 0: best %v > current %v", st.BestMakespan, st.CurrentMakespan)
+		if st.Best > st.Current+1e-9 && i == 0 {
+			t.Errorf("iteration 0: best %v > current %v", st.Best, st.Current)
 		}
 	}
 	// Best-so-far must be monotone non-increasing.
 	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].BestMakespan > res.Trace[i-1].BestMakespan+1e-9 {
+		if res.Trace[i].Best > res.Trace[i-1].Best+1e-9 {
 			t.Errorf("best-so-far increased at iteration %d", i)
 		}
 	}
@@ -171,17 +181,12 @@ func TestTraceRecording(t *testing.T) {
 func TestBiasControlsSelectionSize(t *testing.T) {
 	w := smallWorkload()
 	mean := func(bias float64) float64 {
-		res, err := core.Run(w.Graph, w.System, core.Options{
-			MaxIterations: 40, Seed: 11, Bias: bias, RecordTrace: true,
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		_, trace := run(t, w, core.Options{Seed: 11, Bias: bias}, 40)
 		total := 0
-		for _, st := range res.Trace {
+		for _, st := range trace {
 			total += st.Selected
 		}
-		return float64(total) / float64(len(res.Trace))
+		return float64(total) / float64(len(trace))
 	}
 	negative := mean(-0.3) // paper: negative bias → more selected
 	positive := mean(0.3)  // positive bias → fewer selected
@@ -193,18 +198,14 @@ func TestBiasControlsSelectionSize(t *testing.T) {
 func TestOnIterationStopsRun(t *testing.T) {
 	w := smallWorkload()
 	calls := 0
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		Seed: 1,
-		OnIteration: func(st core.IterationStats) bool {
+	res := drive(t, w, scheduler.Budget{
+		OnProgress: func(scheduler.Progress) bool {
 			calls++
 			return calls < 5
 		},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	}, scheduler.WithSeed(1))
 	if calls != 5 {
-		t.Errorf("OnIteration called %d times, want 5", calls)
+		t.Errorf("OnProgress called %d times, want 5", calls)
 	}
 	if res.Iterations != 5 {
 		t.Errorf("Iterations = %d, want 5", res.Iterations)
@@ -215,10 +216,7 @@ func TestTimeBudgetStopsRun(t *testing.T) {
 	w := smallWorkload()
 	budget := 50 * time.Millisecond
 	start := time.Now()
-	_, err := core.Run(w.Graph, w.System, core.Options{TimeBudget: budget, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	drive(t, w, scheduler.Budget{TimeBudget: budget}, scheduler.WithSeed(1))
 	if elapsed := time.Since(start); elapsed > 20*budget {
 		t.Errorf("run took %v with a %v budget", elapsed, budget)
 	}
@@ -226,10 +224,7 @@ func TestTimeBudgetStopsRun(t *testing.T) {
 
 func TestNoImprovementStopsRun(t *testing.T) {
 	w := smallWorkload()
-	res, err := core.Run(w.Graph, w.System, core.Options{NoImprovement: 10, Seed: 1, MaxIterations: 100000})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := drive(t, w, scheduler.Budget{NoImprovement: 10, MaxIterations: 100000}, scheduler.WithSeed(1))
 	if res.Iterations >= 100000 {
 		t.Error("NoImprovement did not stop the run")
 	}
@@ -237,10 +232,7 @@ func TestNoImprovementStopsRun(t *testing.T) {
 
 func TestYRestrictsMachines(t *testing.T) {
 	w := smallWorkload()
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 60, Seed: 2, Y: 1, InitialMoves: core.NoInitialMoves})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 2, Y: 1, InitialMoves: core.NoInitialMoves}, 60)
 	// With Y=1 every relocated task lands on its best-matching machine;
 	// over enough iterations nearly all tasks end up there. At minimum the
 	// result must stay valid and the run must complete.
@@ -255,19 +247,14 @@ func TestInitialSolutionUsed(t *testing.T) {
 	for i, tk := range w.Graph.TopoOrder() {
 		initial[i] = schedule.Gene{Task: tk, Machine: 1}
 	}
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		MaxIterations: 1, Seed: 1, Initial: initial, Bias: 2, // bias 2: select nothing
-		RecordTrace: true,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	// bias 2: select nothing
+	_, trace := run(t, w, core.Options{Seed: 1, Initial: initial, Bias: 2}, 1)
 	wantMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(initial)
-	if res.Trace[0].CurrentMakespan != wantMs {
-		t.Errorf("iteration 0 makespan = %v, want initial's %v", res.Trace[0].CurrentMakespan, wantMs)
+	if trace[0].Current != wantMs {
+		t.Errorf("iteration 0 makespan = %v, want initial's %v", trace[0].Current, wantMs)
 	}
-	if res.Trace[0].Selected != 0 {
-		t.Errorf("bias 2 selected %d tasks, want 0", res.Trace[0].Selected)
+	if trace[0].Selected != 0 {
+		t.Errorf("bias 2 selected %d tasks, want 0", trace[0].Selected)
 	}
 }
 
@@ -275,18 +262,27 @@ func TestOptionErrors(t *testing.T) {
 	w := smallWorkload()
 	cases := []struct {
 		name string
-		opts core.Options
+		open func() error
 		want string
 	}{
-		{"no stop", core.Options{}, "stopping criterion"},
-		{"negative Y", core.Options{MaxIterations: 1, Y: -1}, "Y"},
-		{"bad initial", core.Options{MaxIterations: 1, Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
+		{"no stop", func() error {
+			_, err := scheduler.MustGet("se").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+			return err
+		}, "stopping criterion"},
+		{"negative Y", func() error {
+			_, err := core.NewEngine(w.Graph, w.System, core.Options{Y: -1})
+			return err
+		}, "Y"},
+		{"bad initial", func() error {
+			_, err := core.NewEngine(w.Graph, w.System, core.Options{Initial: schedule.String{{Task: 0, Machine: 0}}})
+			return err
+		}, "Initial"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := core.Run(w.Graph, w.System, tc.opts)
+			err := tc.open()
 			if err == nil {
-				t.Fatal("Run accepted invalid options")
+				t.Fatal("invalid options accepted")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want mentioning %q", err, tc.want)
@@ -298,24 +294,18 @@ func TestOptionErrors(t *testing.T) {
 func TestMismatchedGraphSystem(t *testing.T) {
 	w := smallWorkload()
 	other := workload.Figure1()
-	_, err := core.Run(w.Graph, other.System, core.Options{MaxIterations: 1})
-	if err == nil {
-		t.Fatal("Run accepted mismatched graph and system")
+	if _, err := core.NewEngine(w.Graph, other.System, core.Options{}); err == nil {
+		t.Fatal("NewEngine accepted mismatched graph and system")
 	}
 }
 
 func TestFigure1SEFindsGoodSchedule(t *testing.T) {
 	w := workload.Figure1()
-	res, err := core.Run(w.Graph, w.System, core.Options{
-		MaxIterations: 200, Seed: 1, Bias: -0.2, // small problem: thorough search
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 1, Bias: -0.2}, 200) // small problem: thorough search
 	// The Figure-2 example solution scores 3123; SE must at least match a
 	// solution the paper presents as merely "valid".
-	if res.BestMakespan > 3123 {
-		t.Errorf("SE best %v worse than the paper's example solution 3123", res.BestMakespan)
+	if res.Makespan > 3123 {
+		t.Errorf("SE best %v worse than the paper's example solution 3123", res.Makespan)
 	}
 }
 
@@ -323,16 +313,13 @@ func TestSingleMachineWorkload(t *testing.T) {
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 10, Machines: 1, Connectivity: 1.5, Heterogeneity: 1, CCR: 0.5, Seed: 4,
 	})
-	res, err := core.Run(w.Graph, w.System, core.Options{MaxIterations: 20, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res, _ := run(t, w, core.Options{Seed: 1}, 20)
 	// One machine: makespan is the serial sum regardless of order.
 	sum := 0.0
 	for tk := 0; tk < 10; tk++ {
 		sum += w.System.MeanExecTime(taskID(tk))
 	}
-	if diff := res.BestMakespan - sum; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("single-machine makespan = %v, want serial sum %v", res.BestMakespan, sum)
+	if diff := res.Makespan - sum; diff > 1e-6 || diff < -1e-6 {
+		t.Errorf("single-machine makespan = %v, want serial sum %v", res.Makespan, sum)
 	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/schedule"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/taskgraph"
@@ -54,9 +55,7 @@ const regionAlgorithm = "se"
 // Options configures a distributed sharded run.
 type Options struct {
 	// Shard configures the partition and the per-region SE engines,
-	// exactly as for an in-process sharded run. Its stopping criteria and
-	// OnIteration are unused — the coordinator's Step loop bounds the
-	// sweep.
+	// exactly as for an in-process sharded run.
 	Shard shard.Options
 
 	// RoundBatch is the number of generations every region advances per
@@ -121,7 +120,8 @@ type region struct {
 	best          float64 // best region makespan so far (0 = none yet)
 	sinceImproved int     // generations since best improved
 
-	// Last accepted round's observation, aggregated into RoundStats.
+	// Last accepted round's observation, aggregated into the round's
+	// Progress.
 	lastCurrent  float64
 	lastSelected int
 	lastOK       bool // region advanced this round
@@ -223,11 +223,11 @@ func (e *Engine) Metrics() Metrics { return e.met.snapshot() }
 
 // Step advances every live region by RoundBatch generations — one RPC per
 // remote region, in parallel — and returns the round's aggregated
-// statistics (shard.RoundStats semantics; with RoundBatch > 1 the
-// observation reflects each region's last executed generation).
-func (e *Engine) Step() shard.RoundStats {
+// observation (shard.Engine.Step semantics; with RoundBatch > 1 it
+// reflects each region's last executed generation).
+func (e *Engine) Step() schedule.Progress {
 	if e.pool == nil {
-		var st shard.RoundStats
+		var st schedule.Progress
 		for i := 0; i < e.batch; i++ {
 			st = e.local.Step()
 		}
@@ -249,18 +249,13 @@ func (e *Engine) Step() shard.RoundStats {
 	}
 	wg.Wait()
 
-	round := shard.RoundStats{Round: e.rounds, Regions: len(e.regions)}
+	round := schedule.Progress{Iteration: e.rounds}
 	for _, rg := range e.regions {
 		if rg.lastOK {
-			round.Live++
 			round.Selected += rg.lastSelected
-			if rg.lastCurrent > round.CurrentMax {
-				round.CurrentMax = rg.lastCurrent
-			}
+			round.Current = max(round.Current, rg.lastCurrent)
 		}
-		if rg.best > round.BestSoFar {
-			round.BestSoFar = rg.best
-		}
+		round.Best = max(round.Best, rg.best)
 	}
 	e.rounds++
 	dur := time.Since(start)
@@ -271,13 +266,13 @@ func (e *Engine) Step() shard.RoundStats {
 	return round
 }
 
-// MarkStalled flags every region that has gone noImprove generations
-// without improving its region best (per-region stagnation, exactly as
-// shard.Engine.MarkStalled) and reports whether every region is now
-// stalled. With RoundBatch > 1 staleness is counted at round granularity.
-func (e *Engine) MarkStalled(noImprove int) bool {
+// Stalled flags every region that has gone noImprove generations without
+// improving its region best (per-region stagnation, exactly as
+// shard.Engine.Stalled) and reports whether every region is now stalled.
+// With RoundBatch > 1 staleness is counted at round granularity.
+func (e *Engine) Stalled(noImprove int) bool {
 	if e.pool == nil {
-		return e.local.MarkStalled(noImprove)
+		return e.local.Stalled(noImprove)
 	}
 	if noImprove <= 0 {
 		return false
@@ -294,19 +289,11 @@ func (e *Engine) MarkStalled(noImprove int) bool {
 	return all
 }
 
-// Iterations returns the maximum generation count over all regions.
-func (e *Engine) Iterations() int {
-	if e.pool != nil {
-		return e.rounds * e.batch
-	}
-	return e.local.Iterations()
-}
-
 // Result merges the regions' current best solutions, repairs and
 // reconciles the merged string, and returns the full-graph outcome — the
 // unchanged shard.Engine path, fed by the workers' latest snapshots. The
 // engine remains steppable afterwards.
-func (e *Engine) Result() (*shard.Result, error) {
+func (e *Engine) Result() (*schedule.Result, error) {
 	if err := e.syncLocal(); err != nil {
 		return nil, err
 	}

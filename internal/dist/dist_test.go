@@ -179,16 +179,11 @@ func TestWorkerKillRecovery(t *testing.T) {
 		}
 		e.Step()
 	}
-	res, err := e.Result()
+	got, err := e.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := scheduler.Result{
-		Best: res.Best, Makespan: res.BestMakespan, Iterations: res.Iterations,
-		Evaluations: res.Evaluations, DeltaEvaluations: res.DeltaEvaluations,
-		GenesEvaluated: res.GenesEvaluated,
-	}
-	requireSameResult(t, "worker-kill recovery vs se-shard", got, want)
+	requireSameResult(t, "worker-kill recovery vs se-shard", *got, want)
 
 	m := e.Metrics()
 	if m.Retries == 0 && m.Redispatches == 0 && m.LocalSteps == 0 {
@@ -355,16 +350,11 @@ func TestHedgedStragglerRaceSafeTotals(t *testing.T) {
 		t.Errorf("LocalSteps = %d, want 0 (the straggler is slow, not dead)", m.LocalSteps)
 	}
 
-	res, err := e.Result()
+	got, err := e.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := scheduler.Result{
-		Best: res.Best, Makespan: res.BestMakespan, Iterations: res.Iterations,
-		Evaluations: res.Evaluations, DeltaEvaluations: res.DeltaEvaluations,
-		GenesEvaluated: res.GenesEvaluated,
-	}
-	requireSameResult(t, "hedged straggler vs se-shard", got, want)
+	requireSameResult(t, "hedged straggler vs se-shard", *got, want)
 
 	// The shared registry carries the live mirrors: transport totals and
 	// the per-worker gauges the acceptance scrape looks for.

@@ -23,8 +23,10 @@ func init() {
 }
 
 // seDistStepper adapts the coordinator Engine to the registry's Stepper
-// contract, mirroring se-shard's adapter.
-type seDistStepper struct{ e *Engine }
+// contract: the Engine steps, snapshots and stalls itself, but its Result
+// can fail (a worker snapshot that does not restore), which Stepper's
+// Result cannot express.
+type seDistStepper struct{ *Engine }
 
 func openSEDist(cfg scheduler.Config, g *taskgraph.Graph, sys *platform.System) (scheduler.Stepper, error) {
 	e, err := NewEngine(g, sys, Options{
@@ -57,47 +59,18 @@ func restoreSEDist(data []byte, g *taskgraph.Graph, sys *platform.System) (sched
 	return seDistStepper{e}, nil
 }
 
-// Step advances every live region by one coordinator round. Progress has
-// se-shard's per-round semantics: Current and Best are coarse lower
-// estimates of the merged schedule length until Result reconciles.
-func (s seDistStepper) Step() scheduler.Progress {
-	st := s.e.Step()
-	return scheduler.Progress{
-		Iteration: st.Round,
-		Current:   st.CurrentMax,
-		Best:      st.BestSoFar,
-		Selected:  st.Selected,
-		Elapsed:   st.Elapsed,
-	}
-}
-
 // Result syncs the regions' latest snapshots into the embedded sharded
 // engine and returns the merged, reconciled outcome.
 func (s seDistStepper) Result() *scheduler.Result {
-	r, err := s.e.Result()
+	r, err := s.Engine.Result()
 	if err != nil {
 		// Unreachable without a protocol violation (a worker snapshot
 		// that unwrapped but does not restore); surface loudly rather
 		// than returning fabricated state.
 		panic(fmt.Sprintf("dist: result: %v", err))
 	}
-	return &scheduler.Result{
-		Best:             r.Best,
-		Makespan:         r.BestMakespan,
-		Iterations:       r.Iterations,
-		Evaluations:      r.Evaluations,
-		DeltaEvaluations: r.DeltaEvaluations,
-		GenesEvaluated:   r.GenesEvaluated,
-		Elapsed:          r.Elapsed,
-	}
+	return r
 }
-
-// Snapshot serializes the sweep's complete state (see Engine.Snapshot).
-func (s seDistStepper) Snapshot() ([]byte, error) { return s.e.Snapshot() }
-
-// Stalled reports whether every region has stagnated for noImprove
-// generations (see Engine.MarkStalled).
-func (s seDistStepper) Stalled(noImprove int) bool { return s.e.MarkStalled(noImprove) }
 
 // Done reports false: the sweep has no intrinsic exhaustion point.
 func (s seDistStepper) Done() bool { return false }

@@ -211,10 +211,10 @@ func (e *Engine) stepLocal(rg *region) {
 		return
 	}
 	rg.payload = payload
-	rg.lastCurrent = last.CurrentMakespan
+	rg.lastCurrent = last.Current
 	rg.lastSelected = last.Selected
 	rg.lastOK = true
-	e.recordBest(rg, last.BestMakespan)
+	e.recordBest(rg, last.Best)
 	e.met.addLocalSteps(e.batch)
 }
 

@@ -13,42 +13,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// Run executes the GA on graph g over system sys and returns the best
-// solution found: a budget loop over an Engine, one generation per Step.
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxGenerations <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnGeneration == nil {
-		return nil, fmt.Errorf("ga: no stopping criterion set (MaxGenerations, TimeBudget, NoImprovement or OnGeneration)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var trace []GenerationStats
-	for {
-		st := e.Step()
-		if opts.RecordTrace {
-			trace = append(trace, st)
-		}
-		if opts.OnGeneration != nil && !opts.OnGeneration(st) {
-			break
-		}
-		if opts.MaxGenerations > 0 && e.gen >= opts.MaxGenerations {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.sinceImproved >= opts.NoImprovement {
-			break
-		}
-	}
-	res := e.Result()
-	res.Trace = trace
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
 // chromosome is Wang et al.'s two-string representation.
 type chromosome struct {
 	order  []taskgraph.TaskID    // scheduling string: a topological order
@@ -65,8 +29,8 @@ func (c *chromosome) clone() *chromosome {
 }
 
 // Engine is one GA search in progress, steppable one generation at a time
-// and snapshottable between generations (see the resumable-search API in
-// internal/scheduler). Engines are not safe for concurrent use.
+// and snapshottable between generations; it implements scheduler.Stepper
+// directly. Engines are not safe for concurrent use.
 type Engine struct {
 	g    *taskgraph.Graph
 	sys  *platform.System
@@ -127,8 +91,7 @@ func (e *Engine) cloneOf(src *chromosome) *chromosome {
 }
 
 // NewEngine validates opts and builds a ready-to-Step engine with its
-// initial population drawn. Unlike Run, no stopping criterion is
-// required: the caller's Step loop bounds the search.
+// initial population drawn.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	e, err := newShell(g, sys, opts)
 	if err != nil {
@@ -217,25 +180,20 @@ func (e *Engine) initialPopulation() []*chromosome {
 	return pop
 }
 
-// Generations returns the number of completed generations.
-func (e *Engine) Generations() int { return e.gen }
+// Stalled reports whether the last noImprove generations all failed to
+// improve the best makespan — the Budget.NoImprovement test.
+func (e *Engine) Stalled(noImprove int) bool { return e.sinceImproved >= noImprove }
 
-// SinceImproved returns the count of consecutive completed generations
-// without a best-makespan improvement — the quantity
-// Options.NoImprovement bounds.
-func (e *Engine) SinceImproved() int { return e.sinceImproved }
-
-// Elapsed returns the accumulated in-Step wall-clock time, including time
-// accumulated before a snapshot/restore cycle.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
+// Done reports false: evolution has no intrinsic exhaustion point.
+func (e *Engine) Done() bool { return false }
 
 // Step runs one GA generation — fitness evaluation, then selection,
 // crossover and mutation into the next population — and returns the
-// generation's statistics (captured after evaluation, before evolution,
-// matching what Options.OnGeneration historically observed).
-func (e *Engine) Step() GenerationStats {
+// generation's observation, captured after evaluation, before evolution:
+// Current is the best cost within the evaluated generation.
+func (e *Engine) Step() schedule.Progress {
 	start := time.Now()
-	genBest, genMean := e.evaluate()
+	genBest := e.evaluate()
 	if e.best == nil || genBest.cost < e.best.cost {
 		if e.best != nil {
 			e.free = append(e.free, e.best)
@@ -245,12 +203,11 @@ func (e *Engine) Step() GenerationStats {
 	} else {
 		e.sinceImproved++
 	}
-	stats := GenerationStats{
-		Generation:     e.gen,
-		BestMakespan:   e.best.cost,
-		GenerationBest: genBest.cost,
-		GenerationMean: genMean,
-		Elapsed:        e.elapsed + time.Since(start),
+	stats := schedule.Progress{
+		Iteration: e.gen,
+		Current:   genBest.cost,
+		Best:      e.best.cost,
+		Elapsed:   e.elapsed + time.Since(start),
 	}
 	e.evolve()
 	e.gen++
@@ -261,24 +218,14 @@ func (e *Engine) Step() GenerationStats {
 // Result finalizes the engine's state into a Result. Before the first
 // Step the best chromosome is undefined, so Result evaluates the initial
 // population's chromosome 0 to return something valid. The engine remains
-// steppable afterwards.
-func (e *Engine) Result() *Result {
+// steppable afterwards. Iterations counts completed generations.
+func (e *Engine) Result() *schedule.Result {
 	best := e.best
 	if best == nil {
 		c := e.pop[0]
 		best = &chromosome{order: c.order, assign: c.assign, cost: e.costOf(c, 0, true)}
 	}
-	res := &Result{
-		Best:         schedule.FromOrder(best.order, best.assign),
-		BestMakespan: best.cost,
-		Generations:  e.gen,
-		Elapsed:      e.elapsed,
-	}
-	counts := e.counts()
-	res.Evaluations = counts.Full
-	res.DeltaEvaluations = counts.Delta
-	res.GenesEvaluated = counts.Genes
-	return res
+	return schedule.NewResult(schedule.FromOrder(best.order, best.assign), best.cost, e.gen, e.counts(), e.elapsed)
 }
 
 // counts sums the search's effort ledger across every worker evaluator,
@@ -296,8 +243,8 @@ func (e *Engine) counts() schedule.EvalCounts {
 
 // evaluate computes every chromosome's schedule length, optionally fanned
 // out over the worker evaluators, and returns the generation's best
-// chromosome and mean cost.
-func (e *Engine) evaluate() (genBest *chromosome, genMean float64) {
+// chromosome.
+func (e *Engine) evaluate() (genBest *chromosome) {
 	nw := len(e.evals)
 	if nw > 1 && len(e.pop) >= 2*nw {
 		var wg sync.WaitGroup
@@ -324,14 +271,12 @@ func (e *Engine) evaluate() (genBest *chromosome, genMean float64) {
 			c.cost = e.costOf(c, 0, i == 0)
 		}
 	}
-	sum := 0.0
 	for _, c := range e.pop {
-		sum += c.cost
 		if genBest == nil || c.cost < genBest.cost {
 			genBest = c
 		}
 	}
-	return genBest, sum / float64(len(e.pop))
+	return genBest
 }
 
 // costOf computes one chromosome's schedule length. With the incremental

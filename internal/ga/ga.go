@@ -14,19 +14,14 @@
 // One generation performs cost evaluation (schedule length, via the same
 // evaluator SE uses), elitist roulette-wheel selection, topology-preserving
 // order crossover plus one-point matching crossover, and machine- and
-// order-mutation. Evolution stops on a generation budget, a wall-clock
-// budget, or stagnation.
+// order-mutation. The caller's Step loop (or scheduler.Drive) decides
+// when evolution stops.
 package ga
 
-import (
-	"time"
+import "repro/internal/schedule"
 
-	"repro/internal/schedule"
-)
-
-// Options configures one GA run. At least one stopping criterion
-// (MaxGenerations, TimeBudget, NoImprovement or a false-returning
-// OnGeneration) must be set.
+// Options configures one GA search. The caller's Step loop (or
+// scheduler.Drive) bounds it.
 type Options struct {
 	// PopulationSize is the number of chromosomes (default 50, the size
 	// used by Wang et al.).
@@ -44,18 +39,6 @@ type Options struct {
 	// next generation (default 1; Wang et al. always preserve the best).
 	Elitism int
 
-	// MaxGenerations stops the run after this many generations (0 = no
-	// generation limit).
-	MaxGenerations int
-
-	// TimeBudget stops the run once wall-clock time is exhausted (0 = no
-	// time limit). Figures 5–7 race GA against SE under equal budgets.
-	TimeBudget time.Duration
-
-	// NoImprovement stops after this many consecutive generations without
-	// improving the best schedule length (0 = disabled).
-	NoImprovement int
-
 	// Seed drives all randomness.
 	Seed int64
 
@@ -71,13 +54,6 @@ type Options struct {
 	// every chromosome with a full pass. Fitness values are bit-identical
 	// either way; this exists for ablations and differential tests.
 	FullEval bool
-
-	// RecordTrace stores per-generation statistics in Result.Trace.
-	RecordTrace bool
-
-	// OnGeneration, when non-nil, is called once per generation after
-	// evaluation; returning false stops the run.
-	OnGeneration func(GenerationStats) bool
 }
 
 func (o Options) withDefaults() Options {
@@ -94,43 +70,4 @@ func (o Options) withDefaults() Options {
 		o.Elitism = 1
 	}
 	return o
-}
-
-// GenerationStats describes one GA generation.
-type GenerationStats struct {
-	// Generation numbers generations from 0.
-	Generation int
-	// BestMakespan is the best schedule length seen so far in the run.
-	BestMakespan float64
-	// GenerationBest is the best schedule length within this generation.
-	GenerationBest float64
-	// GenerationMean is the mean schedule length of this generation.
-	GenerationMean float64
-	// Elapsed is wall-clock time since the run started.
-	Elapsed time.Duration
-}
-
-// Result is the outcome of a GA run.
-type Result struct {
-	// Best is the best combined matching+scheduling string found.
-	Best schedule.String
-	// BestMakespan is Best's schedule length.
-	BestMakespan float64
-	// Generations is the number of generations executed.
-	Generations int
-	// Evaluations counts full schedule evaluations across all goroutines
-	// (including delta-engine pins).
-	Evaluations uint64
-	// DeltaEvaluations counts checkpointed suffix replays — chromosomes
-	// whose string shared a long enough prefix with the evaluator's pinned
-	// base; zero when Options.FullEval is set.
-	DeltaEvaluations uint64
-	// GenesEvaluated counts gene evaluation steps across full and delta
-	// evaluations.
-	GenesEvaluated uint64
-	// Elapsed is the total wall-clock duration of the run.
-	Elapsed time.Duration
-	// Trace holds per-generation statistics when Options.RecordTrace is
-	// set.
-	Trace []GenerationStats
 }

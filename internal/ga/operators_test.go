@@ -15,7 +15,7 @@ func testEngine(t *testing.T, seed int64) *Engine {
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 25, Machines: 5, Connectivity: 3, Heterogeneity: 6, CCR: 0.8, Seed: seed,
 	})
-	e, err := NewEngine(w.Graph, w.System, Options{MaxGenerations: 1, Seed: seed})
+	e, err := NewEngine(w.Graph, w.System, Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

@@ -19,8 +19,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// Options configures one SA run. At least one stopping criterion
-// (MaxMoves, TimeBudget or NoImprovement) must be set.
+// Options configures one SA walk. The caller's Step loop (or
+// scheduler.Drive) bounds it.
 type Options struct {
 	// InitialTemp is the starting temperature; 0 derives it from the
 	// initial solution (20% of its makespan), which accepts most early
@@ -32,15 +32,6 @@ type Options struct {
 	// MovesPerTemp is the number of proposed moves per temperature step
 	// (default: the task count).
 	MovesPerTemp int
-	// MaxMoves stops the run after this many proposed moves (0 = no move
-	// limit).
-	MaxMoves int
-	// TimeBudget stops the run once wall-clock time is exhausted (0 = no
-	// time limit).
-	TimeBudget time.Duration
-	// NoImprovement stops after this many consecutive proposed moves
-	// without improving the best makespan (0 = disabled).
-	NoImprovement int
 	// Seed drives all randomness.
 	Seed int64
 	// Initial, when non-nil, is the starting solution (cloned); otherwise
@@ -50,51 +41,11 @@ type Options struct {
 	// proposed move with a full pass. The walk is byte-identical either
 	// way; this exists for ablations and differential tests.
 	FullEval bool
-	// OnBlock, when non-nil, is called after each temperature block of
-	// MovesPerTemp moves; returning false stops the run. It observes the
-	// run only — the random sequence is identical with or without it.
-	OnBlock func(BlockStats) bool
-}
-
-// BlockStats describes one completed temperature block.
-type BlockStats struct {
-	// Block numbers temperature blocks from 0.
-	Block int
-	// Temperature is the temperature the block ran at (before cooling).
-	Temperature float64
-	// Moves and Accepted count proposed and accepted moves so far.
-	Moves, Accepted int
-	// CurrentMakespan is the schedule length of the current solution.
-	CurrentMakespan float64
-	// BestMakespan is the best schedule length seen so far.
-	BestMakespan float64
-	// Elapsed is wall-clock time since the run started.
-	Elapsed time.Duration
-}
-
-// Result is the outcome of an SA run.
-type Result struct {
-	Best         schedule.String
-	BestMakespan float64
-	Moves        int
-	Accepted     int
-	// Blocks is the number of completed temperature blocks.
-	Blocks int
-	// Evaluations counts full schedule evaluations (including delta-engine
-	// pins).
-	Evaluations uint64
-	// DeltaEvaluations counts checkpointed suffix replays; zero when
-	// Options.FullEval is set.
-	DeltaEvaluations uint64
-	// GenesEvaluated counts gene evaluation steps across full and delta
-	// evaluations.
-	GenesEvaluated uint64
-	Elapsed        time.Duration
 }
 
 // Engine is one SA walk in progress, steppable one temperature block at a
-// time and snapshottable between blocks (see the resumable-search API in
-// internal/scheduler). Engines are not safe for concurrent use.
+// time and snapshottable between blocks; it implements scheduler.Stepper
+// directly. Engines are not safe for concurrent use.
 type Engine struct {
 	g    *taskgraph.Graph
 	sys  *platform.System
@@ -126,9 +77,7 @@ type Engine struct {
 	pos  []int
 }
 
-// NewEngine validates opts and builds a ready-to-Step engine. Unlike Run,
-// no stopping criterion is required: the caller's Step loop bounds the
-// walk.
+// NewEngine validates opts and builds a ready-to-Step engine.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	e, err := newShell(g, sys, opts)
 	if err != nil {
@@ -194,28 +143,25 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	return e, nil
 }
 
-// MovesPerTemp returns the effective (defaulted) block size — the number
-// of proposed moves one Step executes.
-func (e *Engine) MovesPerTemp() int { return e.opts.MovesPerTemp }
-
-// Blocks returns the number of completed temperature blocks.
-func (e *Engine) Blocks() int { return e.blocks }
-
 // Moves returns the number of proposed moves so far.
 func (e *Engine) Moves() int { return e.moves }
 
-// SinceImproved returns the count of consecutive proposed moves without a
-// best-makespan improvement — the quantity Options.NoImprovement bounds.
-func (e *Engine) SinceImproved() int { return e.sinceImproved }
+// Accepted returns the number of accepted moves so far.
+func (e *Engine) Accepted() int { return e.accepted }
 
-// Elapsed returns the accumulated in-Step wall-clock time, including time
-// accumulated before a snapshot/restore cycle.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
+// Stalled converts from Budget iterations (temperature blocks) to SA's
+// native stagnation unit: it reports whether the last noImprove×MovesPerTemp
+// proposed moves all failed to improve the best makespan.
+func (e *Engine) Stalled(noImprove int) bool {
+	return e.sinceImproved >= noImprove*e.opts.MovesPerTemp
+}
+
+// Done reports false: the walk has no intrinsic exhaustion point.
+func (e *Engine) Done() bool { return false }
 
 // Step runs one temperature block of MovesPerTemp Metropolis moves, cools
-// the temperature, and returns the block's statistics (captured before
-// cooling, as Options.OnBlock historically observed them).
-func (e *Engine) Step() BlockStats {
+// the temperature, and returns the block's observation.
+func (e *Engine) Step() schedule.Progress {
 	start := time.Now()
 	n := e.g.NumTasks()
 	for i := 0; i < e.opts.MovesPerTemp; i++ {
@@ -259,14 +205,11 @@ func (e *Engine) Step() BlockStats {
 		}
 		e.sinceImproved++
 	}
-	stats := BlockStats{
-		Block:           e.blocks,
-		Temperature:     e.temp,
-		Moves:           e.moves,
-		Accepted:        e.accepted,
-		CurrentMakespan: e.curMs,
-		BestMakespan:    e.bestMs,
-		Elapsed:         e.elapsed + time.Since(start),
+	stats := schedule.Progress{
+		Iteration: e.blocks,
+		Current:   e.curMs,
+		Best:      e.bestMs,
+		Elapsed:   e.elapsed + time.Since(start),
 	}
 	e.blocks++
 	e.temp *= e.opts.Cooling
@@ -274,22 +217,10 @@ func (e *Engine) Step() BlockStats {
 	return stats
 }
 
-// Result finalizes the engine's state into a Result. The engine remains
-// steppable afterwards.
-func (e *Engine) Result() *Result {
-	res := &Result{
-		Best:         e.best.Clone(),
-		BestMakespan: e.bestMs,
-		Moves:        e.moves,
-		Accepted:     e.accepted,
-		Blocks:       e.blocks,
-		Elapsed:      e.elapsed,
-	}
-	counts := e.counts()
-	res.Evaluations = counts.Full
-	res.DeltaEvaluations = counts.Delta
-	res.GenesEvaluated = counts.Genes
-	return res
+// Result finalizes the engine's state into a Result; Iterations counts
+// completed temperature blocks. The engine remains steppable afterwards.
+func (e *Engine) Result() *schedule.Result {
+	return schedule.NewResult(e.best.Clone(), e.bestMs, e.blocks, e.counts(), e.elapsed)
 }
 
 // counts sums the walk's effort ledger: live evaluator counters on top of
@@ -300,35 +231,4 @@ func (e *Engine) counts() schedule.EvalCounts {
 		counts = counts.Add(e.inc.Counts())
 	}
 	return counts
-}
-
-// Run executes simulated annealing on graph g over system sys: a budget
-// loop over an Engine, one temperature block per Step.
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxMoves <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnBlock == nil {
-		return nil, fmt.Errorf("sa: no stopping criterion set (MaxMoves, TimeBudget, NoImprovement or OnBlock)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for {
-		st := e.Step()
-		if opts.OnBlock != nil && !opts.OnBlock(st) {
-			break
-		}
-		if opts.MaxMoves > 0 && e.moves >= opts.MaxMoves {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.sinceImproved >= opts.NoImprovement {
-			break
-		}
-	}
-	res := e.Result()
-	res.Elapsed = time.Since(start)
-	return res, nil
 }

@@ -1,12 +1,14 @@
 package sa_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sa"
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
 
@@ -16,19 +18,45 @@ func smallWorkload() *workload.Workload {
 	})
 }
 
+// walk steps a fresh SA engine until it has proposed at least moves
+// moves (whole temperature blocks) and returns the engine.
+func walk(t *testing.T, w *workload.Workload, opts sa.Options, moves int) *sa.Engine {
+	t.Helper()
+	e, err := sa.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for e.Moves() < moves {
+		e.Step()
+	}
+	return e
+}
+
+// drive runs the registered "sa" search under b through scheduler.Drive,
+// the one budget loop.
+func drive(t *testing.T, w *workload.Workload, b scheduler.Budget, opts ...scheduler.Option) *scheduler.Result {
+	t.Helper()
+	s, err := scheduler.Open("sa", w.Graph, w.System, opts...)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	res, err := scheduler.Drive(context.Background(), s, b)
+	if err != nil {
+		t.Fatalf("Drive: %v", err)
+	}
+	return res
+}
+
 func TestRunReturnsValidSolution(t *testing.T) {
 	w := smallWorkload()
-	res, err := sa.Run(w.Graph, w.System, sa.Options{MaxMoves: 2000, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
+	e := walk(t, w, sa.Options{Seed: 1}, 2000)
+	if err := schedule.Validate(e.Result().Best, w.Graph, w.System); err != nil {
 		t.Fatalf("SA returned invalid solution: %v", err)
 	}
-	if res.Moves < 2000 {
-		t.Errorf("Moves = %d, want >= 2000", res.Moves)
+	if e.Moves() < 2000 {
+		t.Errorf("Moves = %d, want >= 2000", e.Moves())
 	}
-	if res.Accepted == 0 {
+	if e.Accepted() == 0 {
 		t.Error("no moves accepted")
 	}
 }
@@ -40,67 +68,68 @@ func TestRunImproves(t *testing.T) {
 		initial[i] = schedule.Gene{Task: tk, Machine: 0}
 	}
 	initMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(initial)
-	res, err := sa.Run(w.Graph, w.System, sa.Options{MaxMoves: 5000, Seed: 1, Initial: initial})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.BestMakespan >= initMs {
-		t.Errorf("SA did not improve: best %v, initial %v", res.BestMakespan, initMs)
+	res := walk(t, w, sa.Options{Seed: 1, Initial: initial}, 5000).Result()
+	if res.Makespan >= initMs {
+		t.Errorf("SA did not improve: best %v, initial %v", res.Makespan, initMs)
 	}
 }
 
 func TestRunRespectsLowerBound(t *testing.T) {
 	w := smallWorkload()
 	lb := schedule.LowerBound(w.Graph, w.System)
-	res, err := sa.Run(w.Graph, w.System, sa.Options{MaxMoves: 3000, Seed: 2})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	res := walk(t, w, sa.Options{Seed: 2}, 3000).Result()
+	if res.Makespan < lb-1e-9 {
+		t.Errorf("best %v below lower bound %v", res.Makespan, lb)
 	}
-	if res.BestMakespan < lb-1e-9 {
-		t.Errorf("best %v below lower bound %v", res.BestMakespan, lb)
-	}
-	if got := schedule.NewEvaluator(w.Graph, w.System).Makespan(res.Best); got != res.BestMakespan {
-		t.Errorf("reported %v, re-evaluation %v", res.BestMakespan, got)
+	if got := schedule.NewEvaluator(w.Graph, w.System).Makespan(res.Best); got != res.Makespan {
+		t.Errorf("reported %v, re-evaluation %v", res.Makespan, got)
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
 	w := smallWorkload()
-	opts := sa.Options{MaxMoves: 1500, Seed: 9}
-	a, err := sa.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := sa.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if a.BestMakespan != b.BestMakespan || a.Accepted != b.Accepted {
+	opts := sa.Options{Seed: 9}
+	a := walk(t, w, opts, 1500)
+	b := walk(t, w, opts, 1500)
+	if a.Result().Makespan != b.Result().Makespan || a.Accepted() != b.Accepted() {
 		t.Errorf("same seed diverged: best %v/%v accepted %d/%d",
-			a.BestMakespan, b.BestMakespan, a.Accepted, b.Accepted)
+			a.Result().Makespan, b.Result().Makespan, a.Accepted(), b.Accepted())
 	}
 }
 
 func TestTimeBudgetStops(t *testing.T) {
 	w := smallWorkload()
 	start := time.Now()
-	_, err := sa.Run(w.Graph, w.System, sa.Options{TimeBudget: 50 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	drive(t, w, scheduler.Budget{TimeBudget: 50 * time.Millisecond}, scheduler.WithSeed(1))
 	if time.Since(start) > time.Second {
 		t.Error("TimeBudget overshot grossly")
 	}
 }
 
+// TestNoImprovementStops checks SA's stagnation scaling: Budget
+// NoImprovement counts temperature blocks, which SA converts to proposed
+// moves, so a stalled walk has gone that many whole blocks without a new
+// best.
 func TestNoImprovementStops(t *testing.T) {
 	w := smallWorkload()
-	res, err := sa.Run(w.Graph, w.System, sa.Options{NoImprovement: 500, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	const noImprove = 25
+	var trace []scheduler.Progress
+	res := drive(t, w, scheduler.Budget{
+		NoImprovement: noImprove,
+		MaxIterations: 100000,
+		OnProgress:    func(p scheduler.Progress) bool { trace = append(trace, p); return true },
+	}, scheduler.WithSeed(1))
+	if res.Iterations >= 100000 {
+		t.Fatal("NoImprovement did not stop the walk")
 	}
-	if res.Moves == 0 {
-		t.Error("no moves proposed")
+	if len(trace) < noImprove {
+		t.Fatalf("walk stalled after %d blocks, before %d blocks could pass", len(trace), noImprove)
+	}
+	final := trace[len(trace)-1].Best
+	for _, p := range trace[len(trace)-noImprove:] {
+		if p.Best != final {
+			t.Fatalf("best changed within the final %d blocks: %v then %v", noImprove, p.Best, final)
+		}
 	}
 }
 
@@ -108,18 +137,27 @@ func TestOptionErrors(t *testing.T) {
 	w := smallWorkload()
 	cases := []struct {
 		name string
-		opts sa.Options
+		open func() error
 		want string
 	}{
-		{"no stop", sa.Options{}, "stopping criterion"},
-		{"bad cooling", sa.Options{MaxMoves: 1, Cooling: 1.5}, "Cooling"},
-		{"bad initial", sa.Options{MaxMoves: 1, Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
+		{"no stop", func() error {
+			_, err := scheduler.MustGet("sa").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+			return err
+		}, "stopping criterion"},
+		{"bad cooling", func() error {
+			_, err := sa.NewEngine(w.Graph, w.System, sa.Options{Cooling: 1.5})
+			return err
+		}, "Cooling"},
+		{"bad initial", func() error {
+			_, err := sa.NewEngine(w.Graph, w.System, sa.Options{Initial: schedule.String{{Task: 0, Machine: 0}}})
+			return err
+		}, "Initial"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := sa.Run(w.Graph, w.System, tc.opts)
+			err := tc.open()
 			if err == nil {
-				t.Fatal("Run accepted invalid options")
+				t.Fatal("invalid options accepted")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want mentioning %q", err, tc.want)
@@ -131,27 +169,23 @@ func TestOptionErrors(t *testing.T) {
 func TestOnBlockObservesAndStops(t *testing.T) {
 	w := smallWorkload()
 	var blocks int
-	res, err := sa.Run(w.Graph, w.System, sa.Options{
-		Seed: 1,
-		OnBlock: func(st sa.BlockStats) bool {
-			if st.Block != blocks {
-				t.Errorf("Block = %d, want %d", st.Block, blocks)
+	res := drive(t, w, scheduler.Budget{
+		OnProgress: func(p scheduler.Progress) bool {
+			if p.Iteration != blocks {
+				t.Errorf("Iteration = %d, want %d", p.Iteration, blocks)
 			}
-			if st.BestMakespan <= 0 || st.Temperature <= 0 {
-				t.Errorf("stats not populated: %+v", st)
+			if p.Best <= 0 || p.Current <= 0 {
+				t.Errorf("observation not populated: %+v", p)
 			}
 			blocks++
 			return blocks < 4
 		},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	}, scheduler.WithSeed(1))
 	if blocks != 4 {
-		t.Errorf("OnBlock called %d times, want 4", blocks)
+		t.Errorf("OnProgress called %d times, want 4", blocks)
 	}
-	if res.Blocks != 4 {
-		t.Errorf("Blocks = %d, want 4", res.Blocks)
+	if res.Iterations != 4 {
+		t.Errorf("Iterations = %d, want 4", res.Iterations)
 	}
 	if res.Evaluations == 0 {
 		t.Error("Evaluations = 0, want > 0")
@@ -160,19 +194,13 @@ func TestOnBlockObservesAndStops(t *testing.T) {
 
 func TestOnBlockDoesNotPerturbSearch(t *testing.T) {
 	w := smallWorkload()
-	plain, err := sa.Run(w.Graph, w.System, sa.Options{Seed: 5, MaxMoves: 200})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	observed, err := sa.Run(w.Graph, w.System, sa.Options{
-		Seed: 5, MaxMoves: 200,
-		OnBlock: func(sa.BlockStats) bool { return true },
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if plain.BestMakespan != observed.BestMakespan {
-		t.Errorf("observer changed the search: %v vs %v", plain.BestMakespan, observed.BestMakespan)
+	plain := drive(t, w, scheduler.Budget{MaxIterations: 10}, scheduler.WithSeed(5))
+	observed := drive(t, w, scheduler.Budget{
+		MaxIterations: 10,
+		OnProgress:    func(scheduler.Progress) bool { return true },
+	}, scheduler.WithSeed(5))
+	if plain.Makespan != observed.Makespan {
+		t.Errorf("observer changed the search: %v vs %v", plain.Makespan, observed.Makespan)
 	}
 	for i := range plain.Best {
 		if plain.Best[i] != observed.Best[i] {

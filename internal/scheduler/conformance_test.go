@@ -146,6 +146,35 @@ func TestConformance(t *testing.T) {
 			})
 
 			if info.Kind == scheduler.Metaheuristic {
+				// Budget.NoImprovement reaches every engine through its
+				// own Stalled test (SA scales blocks to proposed moves,
+				// se-shard stalls region by region): the run must stop
+				// well before the iteration cap, with its best-so-far
+				// unchanged over the final noImprove iterations.
+				t.Run("no-improvement-stops-run", func(t *testing.T) {
+					const noImprove, limit = 5, 20000
+					s := scheduler.MustGet(name, scheduler.WithSeed(1), scheduler.WithTrace())
+					res, err := s.Schedule(context.Background(), w.Graph, w.System,
+						scheduler.Budget{NoImprovement: noImprove, MaxIterations: limit})
+					if err != nil {
+						t.Fatalf("Schedule: %v", err)
+					}
+					if res.Iterations >= limit {
+						t.Fatalf("NoImprovement %d did not stop the run before %d iterations", noImprove, limit)
+					}
+					n := len(res.Trace)
+					if n < noImprove {
+						t.Fatalf("run stalled after %d iterations, before %d could pass", n, noImprove)
+					}
+					before := res.Trace[max(0, n-noImprove-1)].Best
+					for _, p := range res.Trace[n-noImprove:] {
+						if p.Best != before {
+							t.Fatalf("best improved within the final %d iterations: %v → %v (iteration %d)",
+								noImprove, before, p.Best, p.Iteration)
+						}
+					}
+				})
+
 				t.Run("on-progress-stops-run", func(t *testing.T) {
 					s := scheduler.MustGet(name, scheduler.WithSeed(1))
 					res, err := s.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{

@@ -15,11 +15,12 @@ import (
 	"repro/internal/workload"
 )
 
-// The equivalence guard: for a fixed seed and workload, every wrapped
-// algorithm must return the byte-identical best string and makespan its
-// package-level Run (or constructor) returns when called directly with
-// the same configuration. The registry is plumbing, not a fork of the
-// algorithms.
+// The equivalence guard: for a fixed seed and workload, every registered
+// algorithm opened and driven through the registry (Open + Drive) must
+// return the byte-identical best string and makespan its package's engine
+// returns when built directly with the same configuration and stepped by
+// hand (or its constructor returns). The registry is plumbing, not a fork
+// of the algorithms.
 
 func equivalenceWorkload() *workload.Workload {
 	return workload.MustGenerate(workload.Params{
@@ -36,6 +37,35 @@ func mustSchedule(t *testing.T, name string, b scheduler.Budget, opts ...schedul
 		t.Fatalf("Schedule(%s): %v", name, err)
 	}
 	return res
+}
+
+// mustDrive opens name on the equivalence workload and drives it through
+// the registry's budget loop.
+func mustDrive(t *testing.T, name string, b scheduler.Budget, opts ...scheduler.Option) *scheduler.Result {
+	t.Helper()
+	w := equivalenceWorkload()
+	s, err := scheduler.Open(name, w.Graph, w.System, opts...)
+	if err != nil {
+		t.Fatalf("Open(%s): %v", name, err)
+	}
+	res, err := scheduler.Drive(context.Background(), s, b)
+	if err != nil {
+		t.Fatalf("Drive(%s): %v", name, err)
+	}
+	return res
+}
+
+// handStepped steps a directly built engine n times and returns its
+// result — the reference the registry must reproduce.
+func handStepped[E scheduler.Stepper](t *testing.T, e E, err error, n int) *scheduler.Result {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		e.Step()
+	}
+	return e.Result()
 }
 
 func assertSame(t *testing.T, name string, gotBest schedule.String, gotMs float64, wantBest schedule.String, wantMs float64) {
@@ -55,15 +85,11 @@ func assertSame(t *testing.T, name string, gotBest schedule.String, gotMs float6
 
 func TestSEEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	direct, err := core.Run(w.Graph, w.System, core.Options{
-		Bias: -0.1, Y: 3, Seed: 9, MaxIterations: 60,
-	})
-	if err != nil {
-		t.Fatalf("core.Run: %v", err)
-	}
-	res := mustSchedule(t, "se", scheduler.Budget{MaxIterations: 60},
+	e, err := core.NewEngine(w.Graph, w.System, core.Options{Bias: -0.1, Y: 3, Seed: 9})
+	direct := handStepped(t, e, err, 60)
+	res := mustDrive(t, "se", scheduler.Budget{MaxIterations: 60},
 		scheduler.WithBias(-0.1), scheduler.WithY(3), scheduler.WithSeed(9))
-	assertSame(t, "se", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
+	assertSame(t, "se", res.Best, res.Makespan, direct.Best, direct.Makespan)
 	if res.Iterations != direct.Iterations || res.Evaluations != direct.Evaluations {
 		t.Errorf("se: iterations/evaluations %d/%d != direct %d/%d",
 			res.Iterations, res.Evaluations, direct.Iterations, direct.Evaluations)
@@ -73,17 +99,13 @@ func TestSEEquivalence(t *testing.T) {
 func TestSEEquivalenceWithObservers(t *testing.T) {
 	// Tracing and progress sampling must not perturb the search.
 	w := equivalenceWorkload()
-	direct, err := core.Run(w.Graph, w.System, core.Options{
-		Y: 3, Seed: 9, MaxIterations: 40,
-	})
-	if err != nil {
-		t.Fatalf("core.Run: %v", err)
-	}
+	e, err := core.NewEngine(w.Graph, w.System, core.Options{Y: 3, Seed: 9})
+	direct := handStepped(t, e, err, 40)
 	res := mustSchedule(t, "se", scheduler.Budget{
 		MaxIterations: 40,
 		OnProgress:    func(scheduler.Progress) bool { return true },
 	}, scheduler.WithY(3), scheduler.WithSeed(9), scheduler.WithTrace())
-	assertSame(t, "se+observers", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
+	assertSame(t, "se+observers", res.Best, res.Makespan, direct.Best, direct.Makespan)
 	if len(res.Trace) != direct.Iterations {
 		t.Errorf("trace entries = %d, want one per iteration (%d)", len(res.Trace), direct.Iterations)
 	}
@@ -91,15 +113,11 @@ func TestSEEquivalenceWithObservers(t *testing.T) {
 
 func TestSEShardEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	direct, err := shard.Run(w.Graph, w.System, shard.Options{
-		Shards: 3, Bias: -0.1, Y: 3, Seed: 9, MaxIterations: 40,
-	})
-	if err != nil {
-		t.Fatalf("shard.Run: %v", err)
-	}
-	res := mustSchedule(t, "se-shard", scheduler.Budget{MaxIterations: 40},
+	e, err := shard.NewEngine(w.Graph, w.System, shard.Options{Shards: 3, Bias: -0.1, Y: 3, Seed: 9})
+	direct := handStepped(t, e, err, 40)
+	res := mustDrive(t, "se-shard", scheduler.Budget{MaxIterations: 40},
 		scheduler.WithShards(3), scheduler.WithBias(-0.1), scheduler.WithY(3), scheduler.WithSeed(9))
-	assertSame(t, "se-shard", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
+	assertSame(t, "se-shard", res.Best, res.Makespan, direct.Best, direct.Makespan)
 	if res.Iterations != direct.Iterations || res.Evaluations != direct.Evaluations {
 		t.Errorf("se-shard: iterations/evaluations %d/%d != direct %d/%d",
 			res.Iterations, res.Evaluations, direct.Iterations, direct.Evaluations)
@@ -124,45 +142,33 @@ func TestSEShardSingleShardMatchesSerialSE(t *testing.T) {
 
 func TestGAEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	direct, err := ga.Run(w.Graph, w.System, ga.Options{
-		PopulationSize: 60, CrossoverRate: 0.4, MutationRate: 0.05,
-		Seed: 9, MaxGenerations: 30,
+	e, err := ga.NewEngine(w.Graph, w.System, ga.Options{
+		PopulationSize: 60, CrossoverRate: 0.4, MutationRate: 0.05, Seed: 9,
 	})
-	if err != nil {
-		t.Fatalf("ga.Run: %v", err)
-	}
-	res := mustSchedule(t, "ga", scheduler.Budget{MaxIterations: 30},
+	direct := handStepped(t, e, err, 30)
+	res := mustDrive(t, "ga", scheduler.Budget{MaxIterations: 30},
 		scheduler.WithPopulation(60), scheduler.WithCrossover(0.4),
 		scheduler.WithMutation(0.05), scheduler.WithSeed(9))
-	assertSame(t, "ga", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
-	if res.Iterations != direct.Generations {
-		t.Errorf("ga: iterations %d != direct generations %d", res.Iterations, direct.Generations)
+	assertSame(t, "ga", res.Best, res.Makespan, direct.Best, direct.Makespan)
+	if res.Iterations != direct.Iterations {
+		t.Errorf("ga: iterations %d != direct generations %d", res.Iterations, direct.Iterations)
 	}
 }
 
 func TestSAEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	n := w.Graph.NumTasks()
-	direct, err := sa.Run(w.Graph, w.System, sa.Options{
-		Seed: 9, MaxMoves: 50 * n,
-	})
-	if err != nil {
-		t.Fatalf("sa.Run: %v", err)
-	}
-	res := mustSchedule(t, "sa", scheduler.Budget{MaxIterations: 50}, scheduler.WithSeed(9))
-	assertSame(t, "sa", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
+	e, err := sa.NewEngine(w.Graph, w.System, sa.Options{Seed: 9})
+	direct := handStepped(t, e, err, 50)
+	res := mustDrive(t, "sa", scheduler.Budget{MaxIterations: 50}, scheduler.WithSeed(9))
+	assertSame(t, "sa", res.Best, res.Makespan, direct.Best, direct.Makespan)
 }
 
 func TestTabuEquivalence(t *testing.T) {
 	w := equivalenceWorkload()
-	direct, err := tabu.Run(w.Graph, w.System, tabu.Options{
-		Seed: 9, MaxIterations: 50,
-	})
-	if err != nil {
-		t.Fatalf("tabu.Run: %v", err)
-	}
-	res := mustSchedule(t, "tabu", scheduler.Budget{MaxIterations: 50}, scheduler.WithSeed(9))
-	assertSame(t, "tabu", res.Best, res.Makespan, direct.Best, direct.BestMakespan)
+	e, err := tabu.NewEngine(w.Graph, w.System, tabu.Options{Seed: 9})
+	direct := handStepped(t, e, err, 50)
+	res := mustDrive(t, "tabu", scheduler.Budget{MaxIterations: 50}, scheduler.WithSeed(9))
+	assertSame(t, "tabu", res.Best, res.Makespan, direct.Best, direct.Makespan)
 }
 
 func TestConstructiveEquivalence(t *testing.T) {

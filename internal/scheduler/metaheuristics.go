@@ -5,12 +5,13 @@ import (
 	"repro/internal/ga"
 	"repro/internal/platform"
 	"repro/internal/sa"
-	"repro/internal/schedule"
 	"repro/internal/shard"
 	"repro/internal/tabu"
 	"repro/internal/taskgraph"
 )
 
+// The metaheuristic engines implement Stepper themselves; registering one
+// only maps Config onto its package's Options.
 func init() {
 	Register("se", Metaheuristic,
 		"simulated evolution, the paper's heuristic (Barada, Sait & Baig)",
@@ -28,24 +29,82 @@ func init() {
 		openSE, restoreSE)
 	Register("se-shard", Metaheuristic,
 		"SE over weakly-coupled DAG regions in parallel, with boundary reconciliation",
-		openSEShard, restoreSEShard)
+		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
+			return stepper(shard.NewEngine(g, sys, shard.Options{
+				Shards:          cfg.Shards,
+				ReconcileSweeps: cfg.ReconcileSweeps,
+				Bias:            cfg.Bias,
+				Y:               cfg.Y,
+				PerturbAfter:    cfg.PerturbAfter,
+				FullEval:        cfg.FullEval,
+				Seed:            cfg.Seed,
+				Initial:         cfg.Initial,
+				MaxParallel:     cfg.Workers,
+			}))
+		},
+		func(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
+			return stepper(shard.RestoreEngine(data, g, sys))
+		})
 	Register("ga", Metaheuristic,
 		"genetic-algorithm baseline of Wang et al. (JPDC 1997)",
-		openGA, restoreGA)
+		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
+			return stepper(ga.NewEngine(g, sys, ga.Options{
+				PopulationSize: cfg.Population,
+				FullEval:       cfg.FullEval,
+				CrossoverRate:  cfg.Crossover,
+				MutationRate:   cfg.Mutation,
+				Elitism:        cfg.Elitism,
+				Seed:           cfg.Seed,
+				Workers:        cfg.Workers,
+				Initial:        cfg.Initial,
+			}))
+		},
+		func(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
+			return stepper(ga.RestoreEngine(data, g, sys))
+		})
 	Register("sa", Metaheuristic,
 		"simulated annealing over the same move space as SE",
-		openSA, restoreSA)
+		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
+			return stepper(sa.NewEngine(g, sys, sa.Options{
+				InitialTemp:  cfg.InitialTemp,
+				FullEval:     cfg.FullEval,
+				Cooling:      cfg.Cooling,
+				MovesPerTemp: cfg.MovesPerTemp,
+				Seed:         cfg.Seed,
+				Initial:      cfg.Initial,
+			}))
+		},
+		func(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
+			return stepper(sa.RestoreEngine(data, g, sys))
+		})
 	Register("tabu", Metaheuristic,
 		"tabu search over the same move space as SE",
-		openTabu, restoreTabu)
+		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
+			return stepper(tabu.NewEngine(g, sys, tabu.Options{
+				Tenure:       cfg.Tenure,
+				FullEval:     cfg.FullEval,
+				Neighborhood: cfg.Neighborhood,
+				Seed:         cfg.Seed,
+				Initial:      cfg.Initial,
+			}))
+		},
+		func(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
+			return stepper(tabu.RestoreEngine(data, g, sys))
+		})
 }
 
-// --- SE (se, se-ils) -------------------------------------------------------
-
-type seStepper struct{ e *core.Engine }
+// stepper converts an engine constructor's (engine, error) pair into the
+// registry hooks' (Stepper, error), keeping a failed construction a nil
+// interface rather than one wrapping a nil engine.
+func stepper[E Stepper](e E, err error) (Stepper, error) {
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
 
 func openSE(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := core.NewEngine(g, sys, core.Options{
+	return stepper(core.NewEngine(g, sys, core.Options{
 		Bias:         cfg.Bias,
 		FullEval:     cfg.FullEval,
 		Y:            cfg.Y,
@@ -53,293 +112,9 @@ func openSE(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, erro
 		Workers:      cfg.Workers,
 		PerturbAfter: cfg.PerturbAfter,
 		Initial:      cfg.Initial,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return seStepper{e}, nil
+	}))
 }
 
 func restoreSE(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := core.RestoreEngine(data, g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return seStepper{e}, nil
+	return stepper(core.RestoreEngine(data, g, sys))
 }
-
-func (s seStepper) Step() Progress {
-	st := s.e.Step()
-	return Progress{
-		Iteration: st.Iteration,
-		Current:   st.CurrentMakespan,
-		Best:      st.BestMakespan,
-		Selected:  st.Selected,
-		Elapsed:   st.Elapsed,
-	}
-}
-
-func (s seStepper) Result() *Result {
-	r := s.e.Result()
-	return &Result{
-		Best:             r.Best,
-		Makespan:         r.BestMakespan,
-		Iterations:       r.Iterations,
-		Evaluations:      r.Evaluations,
-		DeltaEvaluations: r.DeltaEvaluations,
-		GenesEvaluated:   r.GenesEvaluated,
-		Elapsed:          r.Elapsed,
-	}
-}
-
-func (s seStepper) Snapshot() ([]byte, error)  { return s.e.Snapshot() }
-func (s seStepper) Stalled(noImprove int) bool { return s.e.SinceImproved() >= noImprove }
-func (s seStepper) Done() bool                 { return false }
-
-// Current and Rebase implement Rebaser: the SE engine is the warm-start
-// amendment engine behind se-live (and plain se) — see internal/live.
-func (s seStepper) Current() schedule.String { return s.e.Current() }
-
-func (s seStepper) Rebase(g *taskgraph.Graph, sys *platform.System, cur, best schedule.String) (Stepper, error) {
-	e, err := s.e.Rebase(g, sys, cur, best)
-	if err != nil {
-		return nil, err
-	}
-	return seStepper{e}, nil
-}
-
-// --- se-shard --------------------------------------------------------------
-
-type seShardStepper struct{ e *shard.Engine }
-
-func openSEShard(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := shard.NewEngine(g, sys, shard.Options{
-		Shards:          cfg.Shards,
-		ReconcileSweeps: cfg.ReconcileSweeps,
-		Bias:            cfg.Bias,
-		Y:               cfg.Y,
-		PerturbAfter:    cfg.PerturbAfter,
-		FullEval:        cfg.FullEval,
-		Seed:            cfg.Seed,
-		Initial:         cfg.Initial,
-		MaxParallel:     cfg.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return seShardStepper{e}, nil
-}
-
-func restoreSEShard(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := shard.RestoreEngine(data, g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return seShardStepper{e}, nil
-}
-
-// Step advances every live region by one generation. Progress is
-// per-round: Current and Best are the max over the regions' local
-// makespans — a coarse lower estimate of the merged schedule length until
-// Result's reconciliation corrects it — and Selected sums the regions'
-// selection sets.
-func (s seShardStepper) Step() Progress {
-	st := s.e.Step()
-	return Progress{
-		Iteration: st.Round,
-		Current:   st.CurrentMax,
-		Best:      st.BestSoFar,
-		Selected:  st.Selected,
-		Elapsed:   st.Elapsed,
-	}
-}
-
-func (s seShardStepper) Result() *Result {
-	r := s.e.Result()
-	return &Result{
-		Best:             r.Best,
-		Makespan:         r.BestMakespan,
-		Iterations:       r.Iterations,
-		Evaluations:      r.Evaluations,
-		DeltaEvaluations: r.DeltaEvaluations,
-		GenesEvaluated:   r.GenesEvaluated,
-		Elapsed:          r.Elapsed,
-	}
-}
-
-func (s seShardStepper) Snapshot() ([]byte, error) { return s.e.Snapshot() }
-
-// Stalled preserves the per-region semantics of independent sweeps:
-// a region that stagnates stops stepping, and the run stalls only once
-// every region has.
-func (s seShardStepper) Stalled(noImprove int) bool { return s.e.MarkStalled(noImprove) }
-func (s seShardStepper) Done() bool                 { return false }
-
-// --- GA --------------------------------------------------------------------
-
-type gaStepper struct{ e *ga.Engine }
-
-func openGA(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := ga.NewEngine(g, sys, ga.Options{
-		PopulationSize: cfg.Population,
-		FullEval:       cfg.FullEval,
-		CrossoverRate:  cfg.Crossover,
-		MutationRate:   cfg.Mutation,
-		Elitism:        cfg.Elitism,
-		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
-		Initial:        cfg.Initial,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return gaStepper{e}, nil
-}
-
-func restoreGA(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := ga.RestoreEngine(data, g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return gaStepper{e}, nil
-}
-
-func (s gaStepper) Step() Progress {
-	st := s.e.Step()
-	return Progress{
-		Iteration: st.Generation,
-		Current:   st.GenerationBest,
-		Best:      st.BestMakespan,
-		Elapsed:   st.Elapsed,
-	}
-}
-
-func (s gaStepper) Result() *Result {
-	r := s.e.Result()
-	return &Result{
-		Best:             r.Best,
-		Makespan:         r.BestMakespan,
-		Iterations:       r.Generations,
-		Evaluations:      r.Evaluations,
-		DeltaEvaluations: r.DeltaEvaluations,
-		GenesEvaluated:   r.GenesEvaluated,
-		Elapsed:          r.Elapsed,
-	}
-}
-
-func (s gaStepper) Snapshot() ([]byte, error)  { return s.e.Snapshot() }
-func (s gaStepper) Stalled(noImprove int) bool { return s.e.SinceImproved() >= noImprove }
-func (s gaStepper) Done() bool                 { return false }
-
-// --- SA --------------------------------------------------------------------
-
-type saStepper struct{ e *sa.Engine }
-
-func openSA(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := sa.NewEngine(g, sys, sa.Options{
-		InitialTemp:  cfg.InitialTemp,
-		FullEval:     cfg.FullEval,
-		Cooling:      cfg.Cooling,
-		MovesPerTemp: cfg.MovesPerTemp,
-		Seed:         cfg.Seed,
-		Initial:      cfg.Initial,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return saStepper{e}, nil
-}
-
-func restoreSA(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := sa.RestoreEngine(data, g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return saStepper{e}, nil
-}
-
-func (s saStepper) Step() Progress {
-	st := s.e.Step()
-	return Progress{
-		Iteration: st.Block,
-		Current:   st.CurrentMakespan,
-		Best:      st.BestMakespan,
-		Elapsed:   st.Elapsed,
-	}
-}
-
-func (s saStepper) Result() *Result {
-	r := s.e.Result()
-	return &Result{
-		Best:             r.Best,
-		Makespan:         r.BestMakespan,
-		Iterations:       r.Blocks,
-		Evaluations:      r.Evaluations,
-		DeltaEvaluations: r.DeltaEvaluations,
-		GenesEvaluated:   r.GenesEvaluated,
-		Elapsed:          r.Elapsed,
-	}
-}
-
-func (s saStepper) Snapshot() ([]byte, error) { return s.e.Snapshot() }
-
-// Stalled converts from Budget iterations (temperature blocks) to SA's
-// native stagnation unit (proposed moves), preserving the historical
-// NoImprovement scaling.
-func (s saStepper) Stalled(noImprove int) bool {
-	return s.e.SinceImproved() >= noImprove*s.e.MovesPerTemp()
-}
-func (s saStepper) Done() bool { return false }
-
-// --- Tabu ------------------------------------------------------------------
-
-type tabuStepper struct{ e *tabu.Engine }
-
-func openTabu(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := tabu.NewEngine(g, sys, tabu.Options{
-		Tenure:       cfg.Tenure,
-		FullEval:     cfg.FullEval,
-		Neighborhood: cfg.Neighborhood,
-		Seed:         cfg.Seed,
-		Initial:      cfg.Initial,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tabuStepper{e}, nil
-}
-
-func restoreTabu(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
-	e, err := tabu.RestoreEngine(data, g, sys)
-	if err != nil {
-		return nil, err
-	}
-	return tabuStepper{e}, nil
-}
-
-func (s tabuStepper) Step() Progress {
-	st := s.e.Step()
-	return Progress{
-		Iteration: st.Iteration,
-		Current:   st.CurrentMakespan,
-		Best:      st.BestMakespan,
-		Elapsed:   st.Elapsed,
-	}
-}
-
-func (s tabuStepper) Result() *Result {
-	r := s.e.Result()
-	return &Result{
-		Best:             r.Best,
-		Makespan:         r.BestMakespan,
-		Iterations:       r.Iterations,
-		Evaluations:      r.Evaluations,
-		DeltaEvaluations: r.DeltaEvaluations,
-		GenesEvaluated:   r.GenesEvaluated,
-		Elapsed:          r.Elapsed,
-	}
-}
-
-func (s tabuStepper) Snapshot() ([]byte, error)  { return s.e.Snapshot() }
-func (s tabuStepper) Stalled(noImprove int) bool { return s.e.SinceImproved() >= noImprove }
-func (s tabuStepper) Done() bool                 { return false }

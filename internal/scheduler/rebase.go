@@ -3,48 +3,37 @@ package scheduler
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 	"repro/internal/taskgraph"
 )
 
-// Rebaser is the optional Stepper extension behind warm-start amendment
-// (internal/live): an engine that can be transplanted onto an amended
-// (graph, system) pair without losing its search state. Current exposes
-// the engine's working solution so the amendment path can splice newly
-// arrived tasks into it; Rebase returns a new Stepper on the amended
-// problem whose rng stream position, iteration counter and effort ledger
-// continue from this one — the warm-start twin of Snapshot/Restore.
-type Rebaser interface {
-	// Current returns a copy of the engine's working solution.
-	Current() schedule.String
-	// Rebase rebuilds the engine against the amended problem with the
-	// spliced cur and best strings as its new search state.
-	Rebase(g *taskgraph.Graph, sys *platform.System, cur, best schedule.String) (Stepper, error)
+// warmEngine returns the SE engine behind s — the one engine that supports
+// warm-start amendment (internal/live) — or false.
+func warmEngine(s Search) (*core.Engine, bool) {
+	sr, ok := s.(*search)
+	if !ok {
+		return nil, false
+	}
+	e, ok := sr.st.(*core.Engine)
+	return e, ok
 }
 
 // CurrentSolution returns a copy of the search's working solution when its
 // engine supports warm-start amendment, and false otherwise.
 func CurrentSolution(s Search) (schedule.String, bool) {
-	sr, ok := s.(*search)
+	e, ok := warmEngine(s)
 	if !ok {
 		return nil, false
 	}
-	rb, ok := sr.st.(Rebaser)
-	if !ok {
-		return nil, false
-	}
-	return rb.Current(), true
+	return e.Current(), true
 }
 
 // CanRebase reports whether Rebase would accept s: the search came from
-// this registry and its engine implements Rebaser.
+// this registry and runs the SE engine.
 func CanRebase(s Search) bool {
-	sr, ok := s.(*search)
-	if !ok {
-		return false
-	}
-	_, ok = sr.st.(Rebaser)
+	_, ok := warmEngine(s)
 	return ok
 }
 
@@ -54,21 +43,21 @@ func CanRebase(s Search) bool {
 // inserted, vanished machines reassigned; see internal/live). The returned
 // Search keeps the old one's registry name and observer tap, and its
 // engine continues with the same rng stream position and effort ledger, so
-// a replayed event trace is bit-identical run to run. Searches whose
-// engine does not implement Rebaser — population and region-partitioned
-// engines, constructive heuristics — are rejected with an error.
+// a replayed event trace is bit-identical run to run. Only SE searches
+// (se, se-ils, se-live) support it; population and region-partitioned
+// engines and constructive heuristics are rejected with an error.
 func Rebase(s Search, g *taskgraph.Graph, sys *platform.System, cur, best schedule.String) (Search, error) {
 	sr, ok := s.(*search)
 	if !ok {
 		return nil, fmt.Errorf("scheduler: rebase: not a registry search (%T)", s)
 	}
-	rb, ok := sr.st.(Rebaser)
+	e, ok := sr.st.(*core.Engine)
 	if !ok {
 		return nil, fmt.Errorf("scheduler: rebase: algorithm %q does not support warm-start amendment", sr.name)
 	}
-	st, err := rb.Rebase(g, sys, cur, best)
+	ne, err := e.Rebase(g, sys, cur, best)
 	if err != nil {
 		return nil, err
 	}
-	return &search{name: sr.name, g: g, sys: sys, st: st, observe: sr.observe}, nil
+	return &search{name: sr.name, g: g, sys: sys, st: ne, observe: sr.observe}, nil
 }

@@ -25,7 +25,7 @@
 //
 // Registered names:
 //
-//	metaheuristics  se, se-ils, se-shard, ga, sa, tabu
+//	metaheuristics  se, se-ils, se-live, se-shard, ga, sa, tabu
 //	constructive    heft, cpop, minmin, maxmin, sufferage, mct, random
 package scheduler
 
@@ -76,55 +76,13 @@ type Budget struct {
 }
 
 // Progress is one iteration's observation, delivered to Budget.OnProgress
-// and collected into Result.Trace when tracing is enabled.
-type Progress struct {
-	// Iteration numbers iterations from 0.
-	Iteration int
-	// Current is the schedule length of the scheduler's current solution
-	// (for population schedulers, the best of the current generation; for
-	// se-shard, the max over the regions' local makespans).
-	Current float64
-	// Best is the best schedule length seen so far.
-	Best float64
-	// Selected is the size of SE's selection set this iteration (the
-	// quantity of the paper's Figure 3a; summed over regions for
-	// se-shard). Zero for other schedulers.
-	Selected int
-	// Elapsed is accumulated search time, carried across
-	// snapshot/restore cycles.
-	Elapsed time.Duration
-}
+// and collected into Result.Trace when tracing is enabled. It is the type
+// every engine's Step returns (see schedule.Progress).
+type Progress = schedule.Progress
 
-// Result is the uniform outcome of a Schedule call or a Search.Best read.
-type Result struct {
-	// Best is the best matching+scheduling string found.
-	Best schedule.String
-	// Makespan is Best's schedule length under the shared evaluator.
-	Makespan float64
-	// Iterations is the number of iterations executed (1 for constructive
-	// heuristics), accumulated across snapshot/restore cycles.
-	Iterations int
-	// Evaluations counts full schedule evaluations across all goroutines,
-	// including incremental-engine pins (each pin is one full pass).
-	// Evaluation ledgers are part of search state: like Iterations, they
-	// accumulate across snapshot/restore cycles, so a run resumed in
-	// another process — or re-dispatched to another machine — reports the
-	// same effort an uninterrupted run reports.
-	Evaluations uint64
-	// DeltaEvaluations counts checkpointed suffix replays by the
-	// incremental evaluation engine (schedule.DeltaEvaluator). Zero for
-	// constructive heuristics and for runs built WithFullEval.
-	DeltaEvaluations uint64
-	// GenesEvaluated counts individual gene evaluation steps across full
-	// and delta evaluations — the effort measure the incremental engine
-	// shrinks. Zero for constructive heuristics.
-	GenesEvaluated uint64
-	// Elapsed is the total wall-clock duration of the run.
-	Elapsed time.Duration
-	// Trace holds per-iteration statistics when the scheduler was built
-	// with WithTrace.
-	Trace []Progress
-}
+// Result is the uniform outcome of a Schedule call or a Search.Best read
+// (see schedule.Result).
+type Result = schedule.Result
 
 // Scheduler is one matching-and-scheduling algorithm, configured and
 // ready to run. Implementations are safe for sequential reuse across

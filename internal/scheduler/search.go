@@ -20,9 +20,11 @@ const (
 // Stepper is the engine contract every registered algorithm implements
 // behind a Search: one natural iteration per Step, best-so-far
 // finalization, deterministic state encoding, and the stagnation test the
-// Budget's NoImprovement criterion drives. Implementations are the
-// algorithm packages' engines (core.Engine, sa.Engine, …) wrapped in thin
-// adapters; they are not safe for concurrent use.
+// Budget's NoImprovement criterion drives. The metaheuristic engines
+// (core.Engine, sa.Engine, tabu.Engine, ga.Engine, shard.Engine) implement
+// it themselves and Drive is their only budget loop; only constructive
+// heuristics and se-dist's coordinator sit behind small adapters.
+// Steppers are not safe for concurrent use.
 type Stepper interface {
 	// Step executes one iteration and returns its observation.
 	Step() Progress

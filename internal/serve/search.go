@@ -273,20 +273,16 @@ func (m *Manager) Evict(id string) (SessionSnapshot, error) {
 // are never trusted from the wire), and the search — if one was pinned —
 // restored to continue bit-identically.
 func (m *Manager) Revive(snapshot SessionSnapshot) (SessionInfo, error) {
-	info, err := m.Create(CreateSessionRequest{
+	w, base, err := sessionSource(CreateSessionRequest{
 		Workload: snapshot.Workload,
 		Initial:  snapshot.Base,
 	})
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	err = m.do(info.ID, func(s *Session) error {
-		return m.applySnapshot(s, snapshot)
-	})
+	s, err := m.install("", w, base, &snapshot)
 	if err != nil {
-		// The half-revived session must not linger.
-		m.Delete(info.ID)
 		return SessionInfo{}, err
 	}
-	return m.Info(info.ID)
+	return s.info(), nil
 }

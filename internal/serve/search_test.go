@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/schedule"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -225,5 +226,110 @@ func TestSearchErrorPaths(t *testing.T) {
 	}
 	if !resp.Done || resp.Performed != 1 {
 		t.Errorf("constructive search: performed %d, done %v; want 1, true", resp.Performed, resp.Done)
+	}
+}
+
+// TestEvictReviveKeepsTiedBest: a committed move that leaves the makespan
+// unchanged moves the base off the best string while the two tie. An
+// evict/revive cycle must hand back the same best string, not the base's.
+func TestEvictReviveKeepsTiedBest(t *testing.T) {
+	mgr := serve.NewManager(serve.Options{})
+	defer mgr.Close()
+	p := testParams(31)
+	info, err := mgr.Create(serve.CreateSessionRequest{Params: &p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := mgr.Schedule(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Commit the first makespan-neutral move that changes the string.
+	committed := false
+	for idx := 0; idx < info.Tasks && !committed; idx++ {
+		for to := 0; to < info.Tasks && !committed; to++ {
+			for m := 0; m < info.Machines && !committed; m++ {
+				req := serve.MoveRequest{Index: idx, To: to, Machine: m}
+				probe, err := mgr.Move(info.ID, req)
+				if err != nil || probe.Makespan != sched.Makespan {
+					continue
+				}
+				req.Commit = true
+				if _, err := mgr.Move(info.ID, req); err != nil {
+					t.Fatal(err)
+				}
+				after, err := mgr.Schedule(info.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				committed = after.Solution != sched.Solution
+			}
+		}
+	}
+	if !committed {
+		t.Fatal("no makespan-neutral move changes the base — test premise broken")
+	}
+
+	first, err := mgr.Evict(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Best == first.Base {
+		t.Fatal("best tracked the tied base — test premise broken")
+	}
+	revived, err := mgr.Revive(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := mgr.Evict(revived.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Best != first.Best {
+		t.Errorf("evict/revive replaced the tied best %s with %s", first.Best, second.Best)
+	}
+}
+
+// TestReviveKeepsBestWorseThanBase: a live amendment splices the base and
+// the best independently, so a session's best can be longer than its
+// base. Revival must restore the stored best as is, not fall back to the
+// base, or a revived session diverges from a never-spilled one.
+func TestReviveKeepsBestWorseThanBase(t *testing.T) {
+	mgr := serve.NewManager(serve.Options{})
+	defer mgr.Close()
+	p := testParams(32)
+	w := workload.MustGenerate(p)
+	info, err := mgr.Create(serve.CreateSessionRequest{Params: &p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := mgr.Evict(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Everything on machine 0 in topological order: valid, and longer than
+	// the constructive base.
+	worse := make(schedule.String, 0, w.Graph.NumTasks())
+	for _, task := range w.Graph.TopoOrder() {
+		worse = append(worse, schedule.Gene{Task: task})
+	}
+	worseMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(worse)
+	if worseMs <= info.BaseMakespan {
+		t.Fatalf("crafted best %v not worse than base %v — test premise broken", worseMs, info.BaseMakespan)
+	}
+	snap.Best = worse.Format()
+	revived, err := mgr.Revive(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if revived.BestMakespan != worseMs {
+		t.Errorf("revived best makespan %v, want the stored best's %v", revived.BestMakespan, worseMs)
+	}
+	again, err := mgr.Evict(revived.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Best != snap.Best {
+		t.Errorf("revival replaced the stored best %s with %s", snap.Best, again.Best)
 	}
 }

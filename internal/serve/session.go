@@ -244,26 +244,11 @@ func (m *Manager) finish(s *Session, reason string) {
 // string, and returns the session's info. At the session cap, the
 // least-recently-used session is evicted first.
 func (m *Manager) Create(req CreateSessionRequest) (SessionInfo, error) {
-	w, err := buildWorkload(req)
+	w, base, err := sessionSource(req)
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	var base schedule.String
-	if req.Initial != "" {
-		base, err = schedule.Parse(req.Initial)
-		if err != nil {
-			return SessionInfo{}, fmt.Errorf("%w: initial solution: %v", ErrBadRequest, err)
-		}
-		if err := schedule.Validate(base, w.Graph, w.System); err != nil {
-			return SessionInfo{}, fmt.Errorf("%w: initial solution: %v", ErrBadRequest, err)
-		}
-	} else {
-		// The best constructive solution is the deterministic default base:
-		// a strong warm start for move queries and FromBase runs.
-		base = heuristics.Best(w.Graph, w.System, 1).Solution
-	}
-
-	s, err := m.install("", w, base)
+	s, err := m.install("", w, base, nil)
 	if err != nil {
 		return SessionInfo{}, err
 	}
@@ -273,13 +258,37 @@ func (m *Manager) Create(req CreateSessionRequest) (SessionInfo, error) {
 	return s.info(), nil
 }
 
-// install builds and registers a session for w pinned at base, starting
-// its worker and persisting its initial state. An empty id takes the next
-// generated id; a non-empty id revives a stored session under its original
-// identity and fails with errSessionExists when that id is already live
-// (returning the live session). At the session cap, the least-recently-used
-// session is spilled first.
-func (m *Manager) install(id string, w *workload.Workload, base schedule.String) (*Session, error) {
+// sessionSource resolves a CreateSessionRequest into its workload and base
+// string: the validated Initial solution, or the best constructive
+// solution as the deterministic default — a strong warm start for move
+// queries and FromBase runs.
+func sessionSource(req CreateSessionRequest) (*workload.Workload, schedule.String, error) {
+	w, err := buildWorkload(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	if req.Initial == "" {
+		return w, heuristics.Best(w.Graph, w.System, 1).Solution, nil
+	}
+	base, err := schedule.Parse(req.Initial)
+	if err == nil {
+		err = schedule.Validate(base, w.Graph, w.System)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: initial solution: %v", ErrBadRequest, err)
+	}
+	return w, base, nil
+}
+
+// install builds a session for w pinned at base — with snapshot's state
+// (best solution, restored search, counters) merged in when non-nil —
+// and only then registers it, so no request can reach a half-built
+// session. An empty id takes the next generated id; a non-empty id
+// revives a stored session under its original identity and fails with
+// errSessionExists when that id is already live (returning the live
+// session). At the session cap, the least-recently-used session is
+// spilled first.
+func (m *Manager) install(id string, w *workload.Workload, base schedule.String, snapshot *SessionSnapshot) (*Session, error) {
 	var wdoc bytes.Buffer
 	if err := workload.Encode(&wdoc, w); err != nil {
 		return nil, err
@@ -292,10 +301,29 @@ func (m *Manager) install(id string, w *workload.Workload, base schedule.String)
 		lower:    schedule.LowerBound(w.Graph, w.System),
 		created:  now,
 		lastUsed: now,
+		delta:    schedule.NewDeltaEvaluator(w.Graph, w.System),
+		best:     base.Clone(),
 		reqs:     make(chan func()),
 		ctx:      ctx,
 		cancel:   cancel,
 		done:     make(chan struct{}),
+	}
+	s.bestMs, _ = s.delta.Pin(base)
+	s.observe = m.observer(s)
+	if snapshot != nil {
+		if err := s.adopt(*snapshot); err != nil {
+			cancel()
+			return nil, err
+		}
+	}
+	s.publishStatus()
+	// The first record is encoded here and queued together with the table
+	// insert below: a losing duplicate revival queues nothing, and a racing
+	// Delete's removal always lands after it. An encoding failure leaves
+	// nothing to queue, as in persist.
+	var rec []byte
+	if m.store != nil {
+		rec, _ = s.record()
 	}
 
 	m.mu.Lock()
@@ -325,31 +353,17 @@ func (m *Manager) install(id string, w *workload.Workload, base schedule.String)
 		id = fmt.Sprintf("s%d", m.nextID)
 	}
 	s.id = id
-	s.observe = m.observer(s)
 	m.sessions[s.id] = s
+	if rec != nil {
+		m.store.Put(s.id, rec)
+	}
 	m.mu.Unlock()
 	m.met.sessionsCreated.Inc()
 	m.met.sessionsLive.Add(1)
 
+	go s.loop()
 	for _, v := range victims {
 		m.spill(v, "lru")
-	}
-
-	go s.loop()
-
-	// Pin inside the worker so the DeltaEvaluator is only ever touched on
-	// that goroutine.
-	err := m.do(s.id, func(s *Session) error {
-		s.delta = schedule.NewDeltaEvaluator(s.w.Graph, s.w.System)
-		ms, _ := s.delta.Pin(base)
-		s.best = base.Clone()
-		s.bestMs = ms
-		s.publishStatus()
-		m.persist(s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return s, nil
 }

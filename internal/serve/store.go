@@ -38,10 +38,6 @@ const (
 // record encodes the session's durable state. Worker goroutine only —
 // it reads the evaluator's pinned base and snapshots the live search.
 func (s *Session) record() ([]byte, error) {
-	if s.delta == nil {
-		// Spilled before install's pin request ran; nothing worth keeping.
-		return nil, fmt.Errorf("serve: session %q not pinned yet", s.id)
-	}
 	w := snap.Borrow(sessionRecMagic, sessionRecVersion)
 	w.Blob(s.wdoc)
 	w.Str(s.delta.Base().Format())
@@ -217,44 +213,26 @@ func (m *Manager) reviveFromStore(id string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: stored session %q: base solution: %v", ErrBadRequest, id, err)
 	}
-	s, err := m.install(id, w, base)
+	s, err := m.install(id, w, base, &snapshot)
 	if err == errSessionExists {
 		return s, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := m.do(id, func(s *Session) error {
-		return m.applySnapshot(s, snapshot)
-	}); err != nil {
-		// The half-revived session must not linger in the table, but its
-		// stored record must survive — destroying data over a decode
-		// error would turn a bug into a loss.
-		m.evictFromTable(id, "error")
-		return nil, err
-	}
 	m.met.sessionsRecovered.Inc()
 	return s, nil
 }
 
-// evictFromTable removes a session from the live table and tears it down
-// without touching its stored record.
-func (m *Manager) evictFromTable(id, reason string) {
-	m.mu.Lock()
-	s, ok := m.sessions[id]
-	if ok {
-		delete(m.sessions, id)
-	}
-	m.mu.Unlock()
-	if ok {
-		m.finish(s, reason)
-	}
-}
-
-// applySnapshot merges a SessionSnapshot's state — best solution, pinned
-// search, request counters — into a freshly installed session. Worker
-// goroutine only; shared by client revival (Revive) and store revival.
-func (m *Manager) applySnapshot(s *Session, snapshot SessionSnapshot) error {
+// adopt merges a SessionSnapshot's state — best solution, pinned search,
+// request counters — into a session install is still building, before
+// any request can reach it. Shared by client revival (Revive) and store
+// revival. The stored best is adopted as is (its makespan re-evaluated,
+// never trusted): it need not beat the base — a tie survives a committed
+// neutral move, and a live amendment splices base and best independently
+// — and a revived session must hold exactly the best a never-spilled one
+// holds.
+func (s *Session) adopt(snapshot SessionSnapshot) error {
 	if snapshot.Best != "" {
 		best, err := schedule.Parse(snapshot.Best)
 		if err != nil {
@@ -263,11 +241,8 @@ func (m *Manager) applySnapshot(s *Session, snapshot SessionSnapshot) error {
 		if err := schedule.Validate(best, s.w.Graph, s.w.System); err != nil {
 			return fmt.Errorf("%w: best solution: %v", ErrBadRequest, err)
 		}
-		ms := schedule.NewEvaluator(s.w.Graph, s.w.System).Makespan(best)
-		if ms < s.bestMs {
-			s.best = best
-			s.bestMs = ms
-		}
+		s.best = best
+		s.bestMs = schedule.NewEvaluator(s.w.Graph, s.w.System).Makespan(best)
 	}
 	if snapshot.Search != nil {
 		algo := snapshot.Search.Algorithm
@@ -280,11 +255,7 @@ func (m *Manager) applySnapshot(s *Session, snapshot SessionSnapshot) error {
 		s.searchAlgo = algo
 		s.searchSeed = snapshot.Search.Seed
 	}
-	s.statMu.Lock()
 	s.stat.runs += snapshot.Runs
 	s.stat.commits += snapshot.Commits
-	s.statMu.Unlock()
-	s.publishStatus()
-	m.persist(s)
 	return nil
 }

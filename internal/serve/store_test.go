@@ -8,7 +8,10 @@ package serve_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -246,5 +249,55 @@ func TestCloseSpillsForRestart(t *testing.T) {
 	}
 	if fresh.ID == info.ID {
 		t.Fatalf("fresh session reused recovered id %q", fresh.ID)
+	}
+}
+
+// TestReviveRace: at a session cap of 1, requests alternating between two
+// durable sessions spill and revive them continuously. A request that
+// finds a session in the table must find it fully built — pinned
+// evaluator, adopted best, restored search — however it races the
+// revival that put it there.
+func TestReviveRace(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mgr := serve.NewManager(serve.Options{MaxSessions: 1, Store: st})
+	defer mgr.Close()
+	var ids []string
+	for seed := int64(41); seed <= 42; seed++ {
+		p := testParams(seed)
+		info, err := mgr.Create(serve.CreateSessionRequest{Params: &p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, info.ID)
+	}
+
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				_, err := mgr.Schedule(ids[(g+i)%2])
+				switch {
+				case err == nil:
+					served.Add(1)
+				case errors.Is(err, serve.ErrNotFound), errors.Is(err, serve.ErrClosed):
+					// Evicted again before the request reached it: the
+					// thrash this test provokes, not a failure.
+				default:
+					t.Errorf("Schedule: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if served.Load() == 0 {
+		t.Error("no request was served")
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/schedule"
 	"repro/internal/taskgraph"
 )
 
@@ -38,7 +39,7 @@ func (e *Engine) RegionSnapshot(r int) ([]byte, error) {
 
 // StepRegion advances region r's engine by one generation in-process —
 // the coordinator's local fallback when no worker can host the region.
-func (e *Engine) StepRegion(r int) core.IterationStats {
+func (e *Engine) StepRegion(r int) schedule.Progress {
 	return e.engines[r].Step()
 }
 

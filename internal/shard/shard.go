@@ -25,17 +25,16 @@
 //
 // The sweep is organised as a resumable Engine: one Step advances every
 // region by one SE generation (in parallel), and Result merges and
-// reconciles the regions' current bests. Run wraps the Engine in a budget
-// loop; internal/scheduler exposes it through the registry's
-// Open/Step/Snapshot/Restore API, which is also the seam for dispatching
-// region engines to remote workers — a region's Snapshot is a complete,
-// portable description of its sweep.
+// reconciles the regions' current bests. internal/scheduler registers the
+// Engine itself as "se-shard" behind its Open/Step/Snapshot/Restore API,
+// which is also the seam for dispatching region engines to remote
+// workers — a region's Snapshot is a complete, portable description of
+// its sweep.
 package shard
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -48,10 +47,8 @@ import (
 // Options.ReconcileSweeps is zero.
 const DefaultReconcileSweeps = 1
 
-// Options configures one sharded SE run. Like core.Options, at least one
-// stopping criterion (MaxIterations, TimeBudget, NoImprovement or a
-// false-returning OnIteration) must be set for Run; it bounds every
-// region's sweep.
+// Options configures one sharded SE sweep. The caller's Step loop (or
+// scheduler.Drive) bounds every region's sweep.
 type Options struct {
 	// Shards is the requested region count. 0 picks it adaptively from
 	// the DAG's depth, the candidate partitions' residual coupling and
@@ -89,80 +86,6 @@ type Options struct {
 	// order is a topological order of the induced subgraph. It must be
 	// valid for the full graph/system.
 	Initial schedule.String
-
-	// MaxIterations, TimeBudget and NoImprovement bound each region's
-	// sweep, with core.Options semantics. Regions run concurrently, so
-	// TimeBudget is wall-clock for the whole fan-out, not a sum.
-	MaxIterations int
-	TimeBudget    time.Duration
-	NoImprovement int
-
-	// OnIteration, when non-nil, observes every region generation. Calls
-	// are serialized across regions; returning false stops all regions at
-	// their next generation boundary, after which the merged best-so-far
-	// is still reconciled and returned.
-	OnIteration func(RegionStats) bool
-}
-
-// RegionStats is one region generation's observation.
-type RegionStats struct {
-	// Region is the reporting region's index; Regions the region count.
-	Region  int
-	Regions int
-	// BestSoFar is the max over all regions' best region makespans seen
-	// so far — a coarse lower estimate of the merged schedule length
-	// (cross-region transfers can only push it up).
-	BestSoFar float64
-	// IterationStats is the region-local generation observation; its
-	// makespans refer to the region subproblem, not the whole DAG.
-	core.IterationStats
-}
-
-// RoundStats is one Engine.Step's observation: every live region advanced
-// by one generation.
-type RoundStats struct {
-	// Round numbers Steps from 0; Regions is the effective region count.
-	Round   int
-	Regions int
-	// Live is the number of regions that advanced this round (regions
-	// already marked stalled sit out).
-	Live int
-	// Selected sums the regions' selection-set sizes this round.
-	Selected int
-	// CurrentMax is the max over the live regions' current makespans —
-	// like BestSoFar, a coarse lower estimate of the merged length.
-	CurrentMax float64
-	// BestSoFar is the max over all regions' best region makespans so far.
-	BestSoFar float64
-	// Stopped reports that Options.OnIteration returned false this round.
-	Stopped bool
-	// Elapsed is accumulated in-Step wall-clock time.
-	Elapsed time.Duration
-}
-
-// Result is the outcome of a sharded run.
-type Result struct {
-	// Best is the reconciled merged solution for the whole DAG.
-	Best schedule.String
-	// BestMakespan is Best's schedule length under the full-graph
-	// evaluator.
-	BestMakespan float64
-	// Regions is the effective region count; CutWeight the communication
-	// volume crossing region boundaries; BoundaryTasks the number of
-	// tasks the reconciliation sweeps re-place.
-	Regions       int
-	CutWeight     float64
-	BoundaryTasks int
-	// Iterations is the maximum generation count over all regions.
-	Iterations int
-	// Evaluations, DeltaEvaluations and GenesEvaluated aggregate the
-	// evaluation-effort ledger over every region engine and the
-	// reconciliation pass (see schedule.EvalCounts).
-	Evaluations      uint64
-	DeltaEvaluations uint64
-	GenesEvaluated   uint64
-	// Elapsed is the total wall-clock duration of the run.
-	Elapsed time.Duration
 }
 
 // regionSeed derives region r's rng seed from the run seed: a fixed
@@ -180,9 +103,10 @@ type regionProblem struct {
 }
 
 // Engine is one sharded SE sweep in progress: per-region serial SE
-// engines advanced in parallel rounds, merged and reconciled on demand.
-// Engines are not safe for concurrent use (each Step internally fans out
-// over the regions, but Step itself must not be called concurrently).
+// engines advanced in parallel rounds, merged and reconciled on demand. It
+// implements scheduler.Stepper directly. Engines are not safe for
+// concurrent use (each Step internally fans out over the regions, but
+// Step itself must not be called concurrently).
 type Engine struct {
 	g    *taskgraph.Graph
 	sys  *platform.System
@@ -198,23 +122,16 @@ type Engine struct {
 	stalled    []bool
 	regionBest []float64
 	rounds     int
-	// stopped is set by region goroutines (observer returned false) and
-	// read lock-free at the top of every dispatch iteration.
-	stopped atomic.Bool
-	elapsed time.Duration
+	elapsed    time.Duration
 
 	// Per-round scratch, hoisted out of Step so a long sweep allocates
 	// nothing per round.
-	roundStats []core.IterationStats
-	roundLive  []bool
+	roundStats []schedule.Progress
 	sem        chan struct{}
-
-	observe func(int, core.IterationStats) bool
 }
 
 // NewEngine partitions g and builds one SE engine per region, ready to
-// Step. Unlike Run, no stopping criterion is required: the caller's Step
-// loop bounds the sweep.
+// Step. The caller's Step loop bounds the sweep.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	if g.NumTasks() != sys.NumTasks() {
 		return nil, fmt.Errorf("shard: graph has %d tasks but system is sized for %d", g.NumTasks(), sys.NumTasks())
@@ -248,9 +165,7 @@ func newEngineResolved(g *taskgraph.Graph, sys *platform.System, opts Options) (
 		single:     k == 1,
 		stalled:    make([]bool, k),
 		regionBest: make([]float64, k),
-		roundStats: make([]core.IterationStats, k),
-		roundLive:  make([]bool, k),
-		observe:    newRegionObserver(opts.OnIteration, k),
+		roundStats: make([]schedule.Progress, k),
 	}
 	if opts.MaxParallel > 0 && opts.MaxParallel < k {
 		e.sem = make(chan struct{}, opts.MaxParallel)
@@ -321,35 +236,17 @@ func newEngineResolved(g *taskgraph.Graph, sys *platform.System, opts Options) (
 // Regions returns the effective region count.
 func (e *Engine) Regions() int { return len(e.engines) }
 
-// Iterations returns the maximum completed generation count over all
-// regions.
-func (e *Engine) Iterations() int {
-	max := 0
-	for _, eng := range e.engines {
-		if it := eng.Iterations(); it > max {
-			max = it
-		}
-	}
-	return max
-}
-
-// Elapsed returns the accumulated in-Step wall-clock time.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
-
-// Stopped reports whether Options.OnIteration has returned false.
-func (e *Engine) Stopped() bool { return e.stopped.Load() }
-
-// MarkStalled flags every region whose sweep has gone noImprove
-// generations without improving its region best — such regions sit out
-// subsequent Steps, preserving the per-region NoImprovement semantics of
-// independent sweeps — and reports whether every region is now stalled.
-func (e *Engine) MarkStalled(noImprove int) bool {
+// Stalled flags every region whose sweep has gone noImprove generations
+// without improving its region best — such regions sit out subsequent
+// Steps, preserving the per-region NoImprovement semantics of independent
+// sweeps — and reports whether every region is now stalled.
+func (e *Engine) Stalled(noImprove int) bool {
 	if noImprove <= 0 {
 		return false
 	}
 	all := true
 	for r, eng := range e.engines {
-		if !e.stalled[r] && eng.SinceImproved() >= noImprove {
+		if !e.stalled[r] && eng.Stalled(noImprove) {
 			e.stalled[r] = true
 		}
 		if !e.stalled[r] {
@@ -359,30 +256,24 @@ func (e *Engine) MarkStalled(noImprove int) bool {
 	return all
 }
 
+// Done reports false: the sweep has no intrinsic exhaustion point.
+func (e *Engine) Done() bool { return false }
+
 // Step advances every live region by one SE generation, fanning the
 // regions out over goroutines (capped by Options.MaxParallel), and
-// returns the round's aggregated statistics. Region observations fire
-// serialized through Options.OnIteration exactly as Run's documentation
-// promises.
-func (e *Engine) Step() RoundStats {
+// returns the round's observation: Current and Best are the max over the
+// regions' local current and best makespans — coarse lower estimates of
+// the merged schedule length until Result's reconciliation corrects them
+// — and Selected sums the live regions' selection sets.
+func (e *Engine) Step() schedule.Progress {
 	start := time.Now()
-	k := len(e.engines)
 	stats := e.roundStats
-	live := e.roundLive
-	for r := 0; r < k; r++ {
-		stats[r] = core.IterationStats{}
-		live[r] = false
-	}
 	sem := e.sem
 	var wg sync.WaitGroup
 	for r := range e.engines {
-		// e.stopped is written by region goroutines launched earlier in
-		// this loop (observer returned false); the atomic load makes the
-		// check one lock-free read per region instead of a lock round-trip.
-		if e.stalled[r] || e.stopped.Load() {
+		if e.stalled[r] {
 			continue
 		}
-		live[r] = true
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -390,30 +281,21 @@ func (e *Engine) Step() RoundStats {
 				sem <- struct{}{}
 				defer func() { <-sem }()
 			}
-			st := e.engines[r].Step()
-			stats[r] = st
-			if e.observe != nil && !e.observe(r, st) {
-				e.stopped.Store(true)
-			}
+			stats[r] = e.engines[r].Step()
 		}(r)
 	}
 	wg.Wait()
 
-	round := RoundStats{Round: e.rounds, Regions: k, Stopped: e.stopped.Load()}
+	round := schedule.Progress{Iteration: e.rounds}
 	for r := range e.engines {
-		if live[r] {
-			round.Live++
+		if !e.stalled[r] {
 			round.Selected += stats[r].Selected
-			if stats[r].CurrentMakespan > round.CurrentMax {
-				round.CurrentMax = stats[r].CurrentMakespan
-			}
-			if e.regionBest[r] == 0 || stats[r].BestMakespan < e.regionBest[r] {
-				e.regionBest[r] = stats[r].BestMakespan
+			round.Current = max(round.Current, stats[r].Current)
+			if e.regionBest[r] == 0 || stats[r].Best < e.regionBest[r] {
+				e.regionBest[r] = stats[r].Best
 			}
 		}
-		if e.regionBest[r] > round.BestSoFar {
-			round.BestSoFar = e.regionBest[r]
-		}
+		round.Best = max(round.Best, e.regionBest[r])
 	}
 	e.rounds++
 	e.elapsed += time.Since(start)
@@ -423,35 +305,33 @@ func (e *Engine) Step() RoundStats {
 
 // Result merges the regions' current best solutions in band order,
 // repairs and reconciles the merged string, and returns the full-graph
-// outcome. The engine remains steppable afterwards; Result may be called
-// mid-sweep to inspect the best merged solution so far.
-func (e *Engine) Result() *Result {
+// outcome; Iterations is the maximum generation count over all regions.
+// The engine remains steppable afterwards; Result may be called mid-sweep
+// to inspect the best merged solution so far.
+func (e *Engine) Result() *schedule.Result {
 	if e.single {
 		res := e.engines[0].Result()
-		return &Result{
-			Best:             res.Best,
-			BestMakespan:     res.BestMakespan,
-			Regions:          1,
-			Iterations:       res.Iterations,
-			Evaluations:      res.Evaluations,
-			DeltaEvaluations: res.DeltaEvaluations,
-			GenesEvaluated:   res.GenesEvaluated,
-			Elapsed:          e.elapsed,
-		}
+		res.Elapsed = e.elapsed
+		return res
 	}
 	// Merge in band order: cross-region edges all point from lower to
 	// higher bands, so the concatenation of the regions' topological
 	// strings is a topological string of the whole DAG.
 	merged := make(schedule.String, 0, e.g.NumTasks())
-	results := make([]*core.Result, len(e.engines))
+	iterations := 0
+	var counts schedule.EvalCounts
 	for r, eng := range e.engines {
-		results[r] = eng.Result()
-		for _, gene := range results[r].Best {
+		res := eng.Result()
+		for _, gene := range res.Best {
 			merged = append(merged, schedule.Gene{
 				Task:    e.problems[r].induced.ParentTask(gene.Task),
 				Machine: gene.Machine,
 			})
 		}
+		iterations = max(iterations, res.Iterations)
+		counts.Full += res.Evaluations
+		counts.Delta += res.DeltaEvaluations
+		counts.Genes += res.GenesEvaluated
 	}
 	sweeps := e.opts.ReconcileSweeps
 	if sweeps == 0 {
@@ -459,63 +339,9 @@ func (e *Engine) Result() *Result {
 	} else if sweeps < 0 {
 		sweeps = 0
 	}
-	boundary := e.part.Boundary(e.g)
 	rec := newReconciler(e.g, e.sys, e.opts.Y, e.opts.FullEval)
-	best, ms := rec.run(merged, boundary, sweeps)
-
-	out := &Result{
-		Best:          best,
-		BestMakespan:  ms,
-		Regions:       len(e.engines),
-		CutWeight:     e.part.CutWeight,
-		BoundaryTasks: len(boundary),
-		Elapsed:       e.elapsed,
-	}
-	counts := rec.counts()
-	for _, res := range results {
-		if res.Iterations > out.Iterations {
-			out.Iterations = res.Iterations
-		}
-		counts.Full += res.Evaluations
-		counts.Delta += res.DeltaEvaluations
-		counts.Genes += res.GenesEvaluated
-	}
-	out.Evaluations = counts.Full
-	out.DeltaEvaluations = counts.Delta
-	out.GenesEvaluated = counts.Genes
-	return out
-}
-
-// Run partitions g, sweeps every region in parallel and returns the
-// reconciled merged solution: a budget loop over an Engine, one parallel
-// round of region generations per Step.
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxIterations <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnIteration == nil {
-		return nil, fmt.Errorf("shard: no stopping criterion set (MaxIterations, TimeBudget, NoImprovement or OnIteration)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for {
-		st := e.Step()
-		if st.Stopped {
-			break
-		}
-		if opts.MaxIterations > 0 && e.rounds >= opts.MaxIterations {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.MarkStalled(opts.NoImprovement) {
-			break
-		}
-	}
-	res := e.Result()
-	res.Elapsed = time.Since(start)
-	return res, nil
+	best, ms := rec.run(merged, e.part.Boundary(e.g), sweeps)
+	return schedule.NewResult(best, ms, iterations, rec.counts().Add(counts), e.elapsed)
 }
 
 // regionOptions builds region r's core.Options from the shard Options.
@@ -529,38 +355,5 @@ func regionOptions(opts Options, r int) core.Options {
 		PerturbAfter: opts.PerturbAfter,
 		FullEval:     opts.FullEval,
 		Seed:         regionSeed(opts.Seed, r),
-	}
-}
-
-// newRegionObserver serializes region callbacks into the caller's
-// OnIteration and aggregates the coarse best-so-far estimate. It returns
-// nil when nothing observes the run.
-func newRegionObserver(onIteration func(RegionStats) bool, k int) func(int, core.IterationStats) bool {
-	if onIteration == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	stopped := false
-	regionBest := make([]float64, k)
-	return func(r int, st core.IterationStats) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return false
-		}
-		if regionBest[r] == 0 || st.BestMakespan < regionBest[r] {
-			regionBest[r] = st.BestMakespan
-		}
-		agg := 0.0
-		for _, b := range regionBest {
-			if b > agg {
-				agg = b
-			}
-		}
-		if !onIteration(RegionStats{Region: r, Regions: k, BestSoFar: agg, IterationStats: st}) {
-			stopped = true
-			return false
-		}
-		return true
 	}
 }

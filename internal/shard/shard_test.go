@@ -15,6 +15,33 @@ func shardWorkload(tasks int, seed int64) *workload.Workload {
 	})
 }
 
+// sweep steps a fresh sharded engine rounds rounds and returns it.
+func sweep(t *testing.T, w *workload.Workload, opts Options, rounds int) *Engine {
+	t.Helper()
+	e, err := NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for i := 0; i < rounds; i++ {
+		e.Step()
+	}
+	return e
+}
+
+// serialSE steps a fresh serial SE engine iters generations and returns
+// its result.
+func serialSE(t *testing.T, w *workload.Workload, opts core.Options, iters int) *schedule.Result {
+	t.Helper()
+	e, err := core.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("core.NewEngine: %v", err)
+	}
+	for i := 0; i < iters; i++ {
+		e.Step()
+	}
+	return e.Result()
+}
+
 // TestSingleShardBitIdenticalToSerialSE is the differential guard of the
 // degenerate case: with one region the sharded runner must return exactly
 // what serial SE returns — same best string, makespan, iterations and
@@ -22,23 +49,14 @@ func shardWorkload(tasks int, seed int64) *workload.Workload {
 func TestSingleShardBitIdenticalToSerialSE(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		w := shardWorkload(40, seed)
-		direct, err := core.Run(w.Graph, w.System, core.Options{
-			Bias: -0.1, Y: 3, Seed: seed, MaxIterations: 40,
-		})
-		if err != nil {
-			t.Fatalf("core.Run: %v", err)
+		direct := serialSE(t, w, core.Options{Bias: -0.1, Y: 3, Seed: seed}, 40)
+		e := sweep(t, w, Options{Shards: 1, Bias: -0.1, Y: 3, Seed: seed}, 40)
+		if e.Regions() != 1 {
+			t.Fatalf("Regions = %d, want 1", e.Regions())
 		}
-		sharded, err := Run(w.Graph, w.System, Options{
-			Shards: 1, Bias: -0.1, Y: 3, Seed: seed, MaxIterations: 40,
-		})
-		if err != nil {
-			t.Fatalf("shard.Run: %v", err)
-		}
-		if sharded.Regions != 1 {
-			t.Fatalf("Regions = %d, want 1", sharded.Regions)
-		}
-		if sharded.BestMakespan != direct.BestMakespan {
-			t.Errorf("seed %d: makespan %v != serial %v", seed, sharded.BestMakespan, direct.BestMakespan)
+		sharded := e.Result()
+		if sharded.Makespan != direct.Makespan {
+			t.Errorf("seed %d: makespan %v != serial %v", seed, sharded.Makespan, direct.Makespan)
 		}
 		for i := range direct.Best {
 			if sharded.Best[i] != direct.Best[i] {
@@ -56,31 +74,24 @@ func TestSingleShardBitIdenticalToSerialSE(t *testing.T) {
 
 func TestShardedRunValidAndDeterministic(t *testing.T) {
 	w := shardWorkload(60, 11)
-	run := func() *Result {
-		res, err := Run(w.Graph, w.System, Options{
-			Shards: 4, Y: 3, Seed: 11, MaxIterations: 25,
-		})
-		if err != nil {
-			t.Fatalf("shard.Run: %v", err)
-		}
-		return res
+	opts := Options{Shards: 4, Y: 3, Seed: 11}
+	ea := sweep(t, w, opts, 25)
+	if ea.Regions() < 2 {
+		t.Fatalf("Regions = %d, want a real multi-region run", ea.Regions())
 	}
-	a, b := run(), run()
-	if a.Regions < 2 {
-		t.Fatalf("Regions = %d, want a real multi-region run", a.Regions)
-	}
+	a, b := ea.Result(), sweep(t, w, opts, 25).Result()
 	if err := schedule.Validate(a.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("sharded best is invalid: %v", err)
 	}
-	if got := schedule.NewEvaluator(w.Graph, w.System).Makespan(a.Best); got != a.BestMakespan {
-		t.Errorf("BestMakespan = %v but re-evaluating gives %v", a.BestMakespan, got)
+	if got := schedule.NewEvaluator(w.Graph, w.System).Makespan(a.Best); got != a.Makespan {
+		t.Errorf("Makespan = %v but re-evaluating gives %v", a.Makespan, got)
 	}
-	if lb := schedule.LowerBound(w.Graph, w.System); a.BestMakespan < lb {
-		t.Errorf("makespan %v below lower bound %v", a.BestMakespan, lb)
+	if lb := schedule.LowerBound(w.Graph, w.System); a.Makespan < lb {
+		t.Errorf("makespan %v below lower bound %v", a.Makespan, lb)
 	}
-	if a.BestMakespan != b.BestMakespan || a.Evaluations != b.Evaluations || a.GenesEvaluated != b.GenesEvaluated {
+	if a.Makespan != b.Makespan || a.Evaluations != b.Evaluations || a.GenesEvaluated != b.GenesEvaluated {
 		t.Errorf("same seed, different outcomes: %v/%d/%d vs %v/%d/%d",
-			a.BestMakespan, a.Evaluations, a.GenesEvaluated, b.BestMakespan, b.Evaluations, b.GenesEvaluated)
+			a.Makespan, a.Evaluations, a.GenesEvaluated, b.Makespan, b.Evaluations, b.GenesEvaluated)
 	}
 	for i := range a.Best {
 		if a.Best[i] != b.Best[i] {
@@ -93,18 +104,12 @@ func TestShardedDeltaVsFullIdentical(t *testing.T) {
 	// The incremental engine must be invisible in sharded results too:
 	// regions and the reconciliation pass both have full-evaluation twins.
 	w := shardWorkload(50, 13)
-	opts := Options{Shards: 3, Y: 3, Seed: 5, MaxIterations: 20}
-	delta, err := Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{Shards: 3, Y: 3, Seed: 5}
+	delta := sweep(t, w, opts, 20).Result()
 	opts.FullEval = true
-	full, err := Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.BestMakespan != full.BestMakespan {
-		t.Errorf("delta makespan %v != full %v", delta.BestMakespan, full.BestMakespan)
+	full := sweep(t, w, opts, 20).Result()
+	if delta.Makespan != full.Makespan {
+		t.Errorf("delta makespan %v != full %v", delta.Makespan, full.Makespan)
 	}
 	for i := range delta.Best {
 		if delta.Best[i] != full.Best[i] {
@@ -137,16 +142,13 @@ func TestReconciliationNeverViolatesPrecedence(t *testing.T) {
 			CCR:           rng.Float64(),
 			Seed:          rng.Int63(),
 		})
-		res, err := Run(w.Graph, w.System, Options{
+		opts := Options{
 			Shards:          2 + rng.Intn(5),
 			Y:               1 + rng.Intn(3),
 			ReconcileSweeps: rng.Intn(3) - 1, // exercise none, default and 1
 			Seed:            rng.Int63(),
-			MaxIterations:   5 + rng.Intn(10),
-		})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
 		}
+		res := sweep(t, w, opts, 5+rng.Intn(10)).Result()
 		if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 			t.Fatalf("trial %d: reconciled schedule violates precedence: %v", trial, err)
 		}
@@ -155,10 +157,7 @@ func TestReconciliationNeverViolatesPrecedence(t *testing.T) {
 
 func TestScheduleRepairIdentityOnValidStrings(t *testing.T) {
 	w := shardWorkload(40, 17)
-	res, err := core.Run(w.Graph, w.System, core.Options{Seed: 1, MaxIterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serialSE(t, w, core.Options{Seed: 1}, 5)
 	repaired := schedule.Repair(w.Graph, res.Best)
 	for i := range res.Best {
 		if repaired[i] != res.Best[i] {
@@ -170,10 +169,7 @@ func TestScheduleRepairIdentityOnValidStrings(t *testing.T) {
 func TestScheduleRepairFixesInvalidStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	w := shardWorkload(40, 17)
-	res, err := core.Run(w.Graph, w.System, core.Options{Seed: 1, MaxIterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := serialSE(t, w, core.Options{Seed: 1}, 5)
 	for trial := 0; trial < 50; trial++ {
 		// Shuffle segments of a valid string into an (almost surely)
 		// invalid order; repair must restore validity while preserving
@@ -193,36 +189,47 @@ func TestScheduleRepairFixesInvalidStrings(t *testing.T) {
 	}
 }
 
-func TestObserverStopsAllRegions(t *testing.T) {
-	w := shardWorkload(60, 11)
-	calls := 0
-	res, err := Run(w.Graph, w.System, Options{
-		Shards: 4, Seed: 1, MaxIterations: 10_000,
-		OnIteration: func(st RegionStats) bool {
-			calls++
-			if st.BestSoFar <= 0 {
-				t.Errorf("BestSoFar = %v, want > 0", st.BestSoFar)
-			}
-			return calls < 6
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+func TestNewEngineRejectsBadOptions(t *testing.T) {
+	w := shardWorkload(30, 1)
+	if _, err := NewEngine(w.Graph, w.System, Options{Shards: -1}); err == nil {
+		t.Error("NewEngine accepted negative Shards")
 	}
-	if res.Iterations > 10 {
-		t.Errorf("observer stop left regions running: %d iterations", res.Iterations)
-	}
-	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
-		t.Fatalf("stopped run returned invalid best: %v", err)
+	if _, err := NewEngine(w.Graph, w.System, Options{Shards: 2, Initial: schedule.String{{Task: 0, Machine: 0}}}); err == nil {
+		t.Error("NewEngine accepted an invalid initial solution")
 	}
 }
 
-func TestRunRejectsUnboundedAndBadOptions(t *testing.T) {
-	w := shardWorkload(30, 1)
-	if _, err := Run(w.Graph, w.System, Options{Shards: 2}); err == nil {
-		t.Error("Run accepted a run with no stopping criterion")
+// TestStalledRegionsSitOut checks the per-region stagnation semantics
+// Budget.NoImprovement drives: a region that has stalled stops stepping
+// while the others continue, and the sweep is stalled only once every
+// region is.
+func TestStalledRegionsSitOut(t *testing.T) {
+	w := shardWorkload(60, 11)
+	e := sweep(t, w, Options{Shards: 4, Seed: 1}, 0)
+	const noImprove = 3
+	for round := 0; round < 10_000; round++ {
+		before := make([]int, e.Regions())
+		for r, eng := range e.engines {
+			before[r] = eng.Result().Iterations
+		}
+		e.Step()
+		for r, eng := range e.engines {
+			stepped := eng.Result().Iterations - before[r]
+			if e.stalled[r] && stepped != 0 {
+				t.Fatalf("round %d: stalled region %d stepped", round, r)
+			}
+			if !e.stalled[r] && stepped != 1 {
+				t.Fatalf("round %d: live region %d stepped %d generations", round, r, stepped)
+			}
+		}
+		if e.Stalled(noImprove) {
+			for r := range e.engines {
+				if !e.stalled[r] {
+					t.Fatalf("sweep stalled with region %d still live", r)
+				}
+			}
+			return
+		}
 	}
-	if _, err := Run(w.Graph, w.System, Options{Shards: -1, MaxIterations: 5}); err == nil {
-		t.Error("Run accepted negative Shards")
-	}
+	t.Fatal("sweep never stalled")
 }

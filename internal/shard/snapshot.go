@@ -48,7 +48,9 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		w.F64(e.regionBest[r])
 	}
 	w.Int(e.rounds)
-	w.Bool(e.stopped.Load())
+	// Retired "stopped" flag of the removed region observer, kept so the
+	// layout (and every snapshot-size golden) is unchanged.
+	w.Bool(false)
 	w.I64(int64(e.elapsed))
 	return w.Detach(), nil
 }
@@ -83,7 +85,7 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 		regionBest[i] = r.F64()
 	}
 	rounds := r.Int()
-	stopped := r.Bool()
+	r.Bool() // retired "stopped" flag, always false
 	elapsed := time.Duration(r.I64())
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("shard: restore: %w", err)
@@ -112,7 +114,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	e.stalled = stalled
 	e.regionBest = regionBest
 	e.rounds = rounds
-	e.stopped.Store(stopped)
 	e.elapsed = elapsed
 	return e, nil
 }

@@ -22,8 +22,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// Options configures one tabu-search run. At least one stopping criterion
-// (MaxIterations, TimeBudget or NoImprovement) must be set.
+// Options configures one tabu search. The caller's Step loop (or
+// scheduler.Drive) bounds it.
 type Options struct {
 	// Tenure is how many iterations a moved task stays tabu
 	// (default: task count / 4, at least 2).
@@ -31,13 +31,6 @@ type Options struct {
 	// Neighborhood is the number of candidate moves sampled per iteration
 	// (default: the task count).
 	Neighborhood int
-	// MaxIterations stops the run after this many iterations (0 = none).
-	MaxIterations int
-	// TimeBudget stops the run once wall-clock time is exhausted (0 = none).
-	TimeBudget time.Duration
-	// NoImprovement stops after this many consecutive iterations without
-	// improving the best makespan (0 = disabled).
-	NoImprovement int
 	// Seed drives all randomness.
 	Seed int64
 	// Initial, when non-nil, is the starting solution (cloned).
@@ -46,44 +39,11 @@ type Options struct {
 	// sampled neighbour with a full pass. The search is byte-identical
 	// either way; this exists for ablations and differential tests.
 	FullEval bool
-	// OnIteration, when non-nil, is called after each iteration; returning
-	// false stops the run. It observes the run only — the random sequence
-	// is identical with or without it.
-	OnIteration func(IterationStats) bool
-}
-
-// IterationStats describes one tabu-search iteration.
-type IterationStats struct {
-	// Iteration numbers iterations from 0.
-	Iteration int
-	// CurrentMakespan is the schedule length of the current solution.
-	CurrentMakespan float64
-	// BestMakespan is the best schedule length seen so far.
-	BestMakespan float64
-	// Elapsed is wall-clock time since the run started.
-	Elapsed time.Duration
-}
-
-// Result is the outcome of a tabu-search run.
-type Result struct {
-	Best         schedule.String
-	BestMakespan float64
-	Iterations   int
-	// Evaluations counts full schedule evaluations (including delta-engine
-	// pins).
-	Evaluations uint64
-	// DeltaEvaluations counts checkpointed suffix replays; zero when
-	// Options.FullEval is set.
-	DeltaEvaluations uint64
-	// GenesEvaluated counts gene evaluation steps across full and delta
-	// evaluations.
-	GenesEvaluated uint64
-	Elapsed        time.Duration
 }
 
 // Engine is one tabu search in progress, steppable one iteration at a
-// time and snapshottable between iterations (see the resumable-search API
-// in internal/scheduler). Engines are not safe for concurrent use.
+// time and snapshottable between iterations; it implements
+// scheduler.Stepper directly. Engines are not safe for concurrent use.
 type Engine struct {
 	g    *taskgraph.Graph
 	sys  *platform.System
@@ -112,9 +72,7 @@ type Engine struct {
 	pos     []int
 }
 
-// NewEngine validates opts and builds a ready-to-Step engine. Unlike Run,
-// no stopping criterion is required: the caller's Step loop bounds the
-// search.
+// NewEngine validates opts and builds a ready-to-Step engine.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
 	e, err := newShell(g, sys, opts)
 	if err != nil {
@@ -179,22 +137,17 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	return e, nil
 }
 
-// Iterations returns the number of completed iterations.
-func (e *Engine) Iterations() int { return e.iter }
+// Stalled reports whether the last noImprove iterations all failed to
+// improve the best makespan — the Budget.NoImprovement test.
+func (e *Engine) Stalled(noImprove int) bool { return e.sinceImproved >= noImprove }
 
-// SinceImproved returns the count of consecutive completed iterations
-// without a best-makespan improvement — the quantity
-// Options.NoImprovement bounds.
-func (e *Engine) SinceImproved() int { return e.sinceImproved }
-
-// Elapsed returns the accumulated in-Step wall-clock time, including time
-// accumulated before a snapshot/restore cycle.
-func (e *Engine) Elapsed() time.Duration { return e.elapsed }
+// Done reports false: tabu search has no intrinsic exhaustion point.
+func (e *Engine) Done() bool { return false }
 
 // Step runs one tabu iteration — sample the neighbourhood, apply the best
 // admissible move, update the tabu list — and returns the iteration's
-// statistics.
-func (e *Engine) Step() IterationStats {
+// observation.
+func (e *Engine) Step() schedule.Progress {
 	start := time.Now()
 	n := e.g.NumTasks()
 	iter := e.iter
@@ -273,11 +226,11 @@ func (e *Engine) Step() IterationStats {
 	}
 
 	e.iter++
-	stats := IterationStats{
-		Iteration:       iter,
-		CurrentMakespan: e.curMs,
-		BestMakespan:    e.bestMs,
-		Elapsed:         e.elapsed + time.Since(start),
+	stats := schedule.Progress{
+		Iteration: iter,
+		Current:   e.curMs,
+		Best:      e.bestMs,
+		Elapsed:   e.elapsed + time.Since(start),
 	}
 	e.elapsed += time.Since(start)
 	return stats
@@ -285,18 +238,8 @@ func (e *Engine) Step() IterationStats {
 
 // Result finalizes the engine's state into a Result. The engine remains
 // steppable afterwards.
-func (e *Engine) Result() *Result {
-	res := &Result{
-		Best:         e.best.Clone(),
-		BestMakespan: e.bestMs,
-		Iterations:   e.iter,
-		Elapsed:      e.elapsed,
-	}
-	counts := e.counts()
-	res.Evaluations = counts.Full
-	res.DeltaEvaluations = counts.Delta
-	res.GenesEvaluated = counts.Genes
-	return res
+func (e *Engine) Result() *schedule.Result {
+	return schedule.NewResult(e.best.Clone(), e.bestMs, e.iter, e.counts(), e.elapsed)
 }
 
 // counts sums the search's effort ledger: live evaluator counters on top
@@ -307,35 +250,4 @@ func (e *Engine) counts() schedule.EvalCounts {
 		counts = counts.Add(e.inc.Counts())
 	}
 	return counts
-}
-
-// Run executes tabu search on graph g over system sys: a budget loop over
-// an Engine, one iteration per Step.
-func Run(g *taskgraph.Graph, sys *platform.System, opts Options) (*Result, error) {
-	if opts.MaxIterations <= 0 && opts.TimeBudget <= 0 && opts.NoImprovement <= 0 && opts.OnIteration == nil {
-		return nil, fmt.Errorf("tabu: no stopping criterion set (MaxIterations, TimeBudget, NoImprovement or OnIteration)")
-	}
-	e, err := NewEngine(g, sys, opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for {
-		st := e.Step()
-		if opts.OnIteration != nil && !opts.OnIteration(st) {
-			break
-		}
-		if opts.MaxIterations > 0 && e.iter >= opts.MaxIterations {
-			break
-		}
-		if opts.TimeBudget > 0 && time.Since(start) >= opts.TimeBudget {
-			break
-		}
-		if opts.NoImprovement > 0 && e.sinceImproved >= opts.NoImprovement {
-			break
-		}
-	}
-	res := e.Result()
-	res.Elapsed = time.Since(start)
-	return res, nil
 }

@@ -1,11 +1,13 @@
 package tabu_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/schedule"
+	"repro/internal/scheduler"
 	"repro/internal/tabu"
 	"repro/internal/workload"
 )
@@ -16,12 +18,37 @@ func smallWorkload() *workload.Workload {
 	})
 }
 
+// run steps a fresh tabu engine iters iterations and returns its result.
+func run(t *testing.T, w *workload.Workload, opts tabu.Options, iters int) *schedule.Result {
+	t.Helper()
+	e, err := tabu.NewEngine(w.Graph, w.System, opts)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for i := 0; i < iters; i++ {
+		e.Step()
+	}
+	return e.Result()
+}
+
+// drive runs the registered "tabu" search under b through scheduler.Drive,
+// the one budget loop.
+func drive(t *testing.T, w *workload.Workload, b scheduler.Budget, opts ...scheduler.Option) *scheduler.Result {
+	t.Helper()
+	s, err := scheduler.Open("tabu", w.Graph, w.System, opts...)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	res, err := scheduler.Drive(context.Background(), s, b)
+	if err != nil {
+		t.Fatalf("Drive: %v", err)
+	}
+	return res
+}
+
 func TestRunReturnsValidSolution(t *testing.T) {
 	w := smallWorkload()
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{MaxIterations: 300, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, tabu.Options{Seed: 1}, 300)
 	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("tabu returned invalid solution: %v", err)
 	}
@@ -37,53 +64,38 @@ func TestRunImproves(t *testing.T) {
 		initial[i] = schedule.Gene{Task: tk, Machine: 0}
 	}
 	initMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(initial)
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{MaxIterations: 400, Seed: 1, Initial: initial})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.BestMakespan >= initMs {
-		t.Errorf("tabu did not improve: best %v, initial %v", res.BestMakespan, initMs)
+	res := run(t, w, tabu.Options{Seed: 1, Initial: initial}, 400)
+	if res.Makespan >= initMs {
+		t.Errorf("tabu did not improve: best %v, initial %v", res.Makespan, initMs)
 	}
 }
 
 func TestRunRespectsLowerBound(t *testing.T) {
 	w := smallWorkload()
 	lb := schedule.LowerBound(w.Graph, w.System)
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{MaxIterations: 200, Seed: 2})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	res := run(t, w, tabu.Options{Seed: 2}, 200)
+	if res.Makespan < lb-1e-9 {
+		t.Errorf("best %v below lower bound %v", res.Makespan, lb)
 	}
-	if res.BestMakespan < lb-1e-9 {
-		t.Errorf("best %v below lower bound %v", res.BestMakespan, lb)
-	}
-	if got := schedule.NewEvaluator(w.Graph, w.System).Makespan(res.Best); got != res.BestMakespan {
-		t.Errorf("reported %v, re-evaluation %v", res.BestMakespan, got)
+	if got := schedule.NewEvaluator(w.Graph, w.System).Makespan(res.Best); got != res.Makespan {
+		t.Errorf("reported %v, re-evaluation %v", res.Makespan, got)
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
 	w := smallWorkload()
-	opts := tabu.Options{MaxIterations: 150, Seed: 9}
-	a, err := tabu.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b, err := tabu.Run(w.Graph, w.System, opts)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if a.BestMakespan != b.BestMakespan {
-		t.Errorf("same seed diverged: %v vs %v", a.BestMakespan, b.BestMakespan)
+	opts := tabu.Options{Seed: 9}
+	a := run(t, w, opts, 150)
+	b := run(t, w, opts, 150)
+	if a.Makespan != b.Makespan {
+		t.Errorf("same seed diverged: %v vs %v", a.Makespan, b.Makespan)
 	}
 }
 
 func TestTimeBudgetStops(t *testing.T) {
 	w := smallWorkload()
 	start := time.Now()
-	_, err := tabu.Run(w.Graph, w.System, tabu.Options{TimeBudget: 50 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	drive(t, w, scheduler.Budget{TimeBudget: 50 * time.Millisecond}, scheduler.WithSeed(1))
 	if time.Since(start) > time.Second {
 		t.Error("TimeBudget overshot grossly")
 	}
@@ -91,12 +103,9 @@ func TestTimeBudgetStops(t *testing.T) {
 
 func TestNoImprovementStops(t *testing.T) {
 	w := smallWorkload()
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{NoImprovement: 50, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Iterations == 0 {
-		t.Error("no iterations executed")
+	res := drive(t, w, scheduler.Budget{NoImprovement: 50, MaxIterations: 100000}, scheduler.WithSeed(1))
+	if res.Iterations == 0 || res.Iterations >= 100000 {
+		t.Errorf("Iterations = %d, want a stagnation stop", res.Iterations)
 	}
 }
 
@@ -104,17 +113,23 @@ func TestOptionErrors(t *testing.T) {
 	w := smallWorkload()
 	cases := []struct {
 		name string
-		opts tabu.Options
+		open func() error
 		want string
 	}{
-		{"no stop", tabu.Options{}, "stopping criterion"},
-		{"bad initial", tabu.Options{MaxIterations: 1, Initial: schedule.String{{Task: 0, Machine: 0}}}, "Initial"},
+		{"no stop", func() error {
+			_, err := scheduler.MustGet("tabu").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+			return err
+		}, "stopping criterion"},
+		{"bad initial", func() error {
+			_, err := tabu.NewEngine(w.Graph, w.System, tabu.Options{Initial: schedule.String{{Task: 0, Machine: 0}}})
+			return err
+		}, "Initial"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tabu.Run(w.Graph, w.System, tc.opts)
+			err := tc.open()
 			if err == nil {
-				t.Fatal("Run accepted invalid options")
+				t.Fatal("invalid options accepted")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want mentioning %q", err, tc.want)
@@ -127,10 +142,7 @@ func TestTenureBlocksImmediateRevisit(t *testing.T) {
 	// With an enormous tenure every task moves at most once; the run must
 	// still terminate and stay valid.
 	w := smallWorkload()
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{MaxIterations: 100, Tenure: 1 << 30, Seed: 3})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := run(t, w, tabu.Options{Tenure: 1 << 30, Seed: 3}, 100)
 	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 		t.Fatalf("invalid: %v", err)
 	}
@@ -139,24 +151,20 @@ func TestTenureBlocksImmediateRevisit(t *testing.T) {
 func TestOnIterationObservesAndStops(t *testing.T) {
 	w := smallWorkload()
 	var calls int
-	res, err := tabu.Run(w.Graph, w.System, tabu.Options{
-		Seed: 1,
-		OnIteration: func(st tabu.IterationStats) bool {
-			if st.Iteration != calls {
-				t.Errorf("Iteration = %d, want %d", st.Iteration, calls)
+	res := drive(t, w, scheduler.Budget{
+		OnProgress: func(p scheduler.Progress) bool {
+			if p.Iteration != calls {
+				t.Errorf("Iteration = %d, want %d", p.Iteration, calls)
 			}
-			if st.BestMakespan <= 0 {
-				t.Errorf("stats not populated: %+v", st)
+			if p.Best <= 0 {
+				t.Errorf("observation not populated: %+v", p)
 			}
 			calls++
 			return calls < 6
 		},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	}, scheduler.WithSeed(1))
 	if calls != 6 {
-		t.Errorf("OnIteration called %d times, want 6", calls)
+		t.Errorf("OnProgress called %d times, want 6", calls)
 	}
 	if res.Iterations != 6 {
 		t.Errorf("Iterations = %d, want 6", res.Iterations)
@@ -168,19 +176,13 @@ func TestOnIterationObservesAndStops(t *testing.T) {
 
 func TestOnIterationDoesNotPerturbSearch(t *testing.T) {
 	w := smallWorkload()
-	plain, err := tabu.Run(w.Graph, w.System, tabu.Options{Seed: 5, MaxIterations: 40})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	observed, err := tabu.Run(w.Graph, w.System, tabu.Options{
-		Seed: 5, MaxIterations: 40,
-		OnIteration: func(tabu.IterationStats) bool { return true },
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if plain.BestMakespan != observed.BestMakespan {
-		t.Errorf("observer changed the search: %v vs %v", plain.BestMakespan, observed.BestMakespan)
+	plain := drive(t, w, scheduler.Budget{MaxIterations: 40}, scheduler.WithSeed(5))
+	observed := drive(t, w, scheduler.Budget{
+		MaxIterations: 40,
+		OnProgress:    func(scheduler.Progress) bool { return true },
+	}, scheduler.WithSeed(5))
+	if plain.Makespan != observed.Makespan {
+		t.Errorf("observer changed the search: %v vs %v", plain.Makespan, observed.Makespan)
 	}
 	for i := range plain.Best {
 		if plain.Best[i] != observed.Best[i] {
