@@ -3,6 +3,7 @@ package dist_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -91,17 +92,40 @@ func openShardBaseline(t *testing.T, w *workload.Workload) scheduler.Search {
 }
 
 // TestLocalModeMatchesSeShard pins the in-process fallback: se-dist with
-// no workers is the same computation as se-shard, bit for bit.
+// no workers is the same computation as se-shard, bit for bit, after
+// every round. The reference restores se-shard's snapshot each round, so
+// it reconciles from scratch while se-dist's Best may reuse the sharded
+// engine's last reconciliation.
 func TestLocalModeMatchesSeShard(t *testing.T) {
-	w := testWorkload(t)
-	ds, err := scheduler.Open("se-dist", w.Graph, w.System,
-		scheduler.WithShards(testShards), scheduler.WithSeed(testSeed))
+	// The medium class keeps a from-scratch reconciliation per round
+	// cheap.
+	w, err := workload.Preset("medium")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := stepAll(t, openShardBaseline(t, w), testRounds)
-	got := stepAll(t, ds, testRounds)
-	requireSameResult(t, "local-mode se-dist vs se-shard", got, want)
+	open := func(algo string) scheduler.Search {
+		s, err := scheduler.Open(algo, w.Graph, w.System,
+			scheduler.WithShards(4), scheduler.WithSeed(testSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ds, ss := open("se-dist"), open("se-shard")
+	ctx := context.Background()
+	for i := 0; i < testRounds; i++ {
+		ds.Step(ctx)
+		ss.Step(ctx)
+		data, err := ss.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := scheduler.Restore("se-shard", data, w.Graph, w.System)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("round %d: local-mode se-dist vs se-shard", i), ds.Best(), fresh.Best())
+	}
 }
 
 // TestSingleWorkerMatchesSeShard is the tentpole's equivalence claim:
@@ -224,6 +248,32 @@ func TestSnapshotRestoreContinuesBitIdentically(t *testing.T) {
 	}
 	got := stepAll(t, restored, testRounds-testRounds/2)
 	requireSameResult(t, "snapshot/restore se-dist", got, want)
+}
+
+// TestRestoredEngineMetrics: a restored coordinator reports its
+// transport counters like a fresh one instead of dereferencing missing
+// bookkeeping.
+func TestRestoredEngineMetrics(t *testing.T) {
+	w := testWorkload(t)
+	e, err := dist.NewEngine(w.Graph, w.System, dist.Options{
+		Shard: shard.Options{Shards: testShards, Seed: testSeed},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Step()
+	data, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := dist.RestoreEngine(data, w.Graph, w.System)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Step()
+	if m := restored.Metrics(); m != (dist.Metrics{}) {
+		t.Errorf("in-process restored coordinator reports transport counters %+v, want none", m)
+	}
 }
 
 // TestMetricsAccounting sanity-checks the transport counters on a clean

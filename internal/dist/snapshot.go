@@ -51,5 +51,5 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	if err != nil {
 		return nil, fmt.Errorf("dist: restore: %w", err)
 	}
-	return &Engine{local: local, batch: batch}, nil
+	return &Engine{local: local, batch: batch, met: newDistMetrics(nil)}, nil
 }

@@ -7,21 +7,19 @@ package serve
 // pinned base and best solutions are spliced onto the new problem shape,
 // the evaluator is re-pinned, and a pinned resumable search — when one
 // is open — is warm-started through scheduler.Rebase, keeping its rng
-// stream position and effort ledger. Because the session's canonical
-// workload document is re-encoded after every amendment, durability
-// composes for free: a spilled-then-revived (or crashed-and-recovered)
-// session comes back with the amended DAG, not the one it was created
-// with.
+// stream position and effort ledger. Because an amendment drops the
+// session's cached workload document, the next record encodes the
+// amended workload, so durability composes for free: a spilled-then-
+// revived (or crashed-and-recovered) session comes back with the amended
+// DAG, not the one it was created with.
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"repro/internal/live"
 	"repro/internal/schedule"
 	"repro/internal/scheduler"
-	"repro/internal/workload"
 )
 
 // ApplyEvent amends the session's workload with one live churn event and
@@ -52,10 +50,6 @@ func (m *Manager) ApplyEvent(id string, ev live.Event) (SessionInfo, error) {
 			return fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		amended := s.live.Workload()
-		var wdoc bytes.Buffer
-		if err := workload.Encode(&wdoc, amended); err != nil {
-			return err
-		}
 		if s.search != nil {
 			ns, err := scheduler.Rebase(s.search, amended.Graph, amended.System, splice(cur), splice(best))
 			if err != nil {
@@ -68,7 +62,7 @@ func (m *Manager) ApplyEvent(id string, ev live.Event) (SessionInfo, error) {
 			s.search = ns
 		}
 		s.w = amended
-		s.wdoc = wdoc.Bytes()
+		s.wdoc = nil
 		s.lower = schedule.LowerBound(amended.Graph, amended.System)
 		newBase := splice(s.delta.Base())
 		s.delta = schedule.NewDeltaEvaluator(amended.Graph, amended.System)

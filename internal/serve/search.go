@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/scheduler"
-	"repro/internal/workload"
 )
 
 // MaxStepsPerRequest caps one StepSearch call. A session's worker
@@ -234,15 +232,15 @@ func (m *Manager) ResumeSearch(id string, req SearchSnapshot) (SearchInfo, error
 func (m *Manager) Evict(id string) (SessionSnapshot, error) {
 	var out SessionSnapshot
 	err := m.do(id, func(s *Session) error {
-		var buf bytes.Buffer
-		if err := workload.Encode(&buf, s.w); err != nil {
+		doc, err := s.workloadDoc()
+		if err != nil {
 			return err
 		}
 		s.statMu.Lock()
 		runs, commits := s.stat.runs, s.stat.commits
 		s.statMu.Unlock()
 		out = SessionSnapshot{
-			Workload: buf.Bytes(),
+			Workload: doc,
 			Base:     s.delta.Base().Format(),
 			Best:     s.best.Format(),
 			Runs:     runs,

@@ -111,9 +111,10 @@ type Session struct {
 	lower   float64
 	created time.Time
 
-	// wdoc is the session's workload re-encoded as its canonical document,
-	// cached at build time: the workload is immutable, and the durable
-	// store re-persists the session on every mutating request.
+	// wdoc caches the session's workload encoded as its canonical
+	// document. It is encoded on first use (workloadDoc) — only the
+	// durable store and Evict read it — and dropped when an amendment
+	// replaces w. Worker goroutine only.
 	wdoc []byte
 
 	delta  *schedule.DeltaEvaluator
@@ -289,15 +290,10 @@ func sessionSource(req CreateSessionRequest) (*workload.Workload, schedule.Strin
 // session). At the session cap, the least-recently-used session is
 // spilled first.
 func (m *Manager) install(id string, w *workload.Workload, base schedule.String, snapshot *SessionSnapshot) (*Session, error) {
-	var wdoc bytes.Buffer
-	if err := workload.Encode(&wdoc, w); err != nil {
-		return nil, err
-	}
 	now := m.opts.now()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Session{
 		w:        w,
-		wdoc:     wdoc.Bytes(),
 		lower:    schedule.LowerBound(w.Graph, w.System),
 		created:  now,
 		lastUsed: now,

@@ -1,8 +1,9 @@
 package serve
 
 // Durable sessions: the Manager's glue to internal/store. Every mutating
-// request re-encodes the session's state — workload document, pinned base
-// and best solutions, counters, and the live search's snapshot — into a
+// request encodes the session's state — workload document (encoded once,
+// on the first record, and cached until an amendment), pinned base and
+// best solutions, counters, and the live search's snapshot — into a
 // versioned session record and enqueues it on the write-behind store;
 // idle/LRU/close eviction spills the final state the same way instead of
 // losing it; NewManager replays the store on boot; and a request against
@@ -35,11 +36,28 @@ const (
 	sessionRecVersion = 1
 )
 
+// workloadDoc returns the session's workload as its canonical document,
+// encoding it on first use. Worker goroutine only.
+func (s *Session) workloadDoc() ([]byte, error) {
+	if s.wdoc == nil {
+		var buf bytes.Buffer
+		if err := workload.Encode(&buf, s.w); err != nil {
+			return nil, err
+		}
+		s.wdoc = buf.Bytes()
+	}
+	return s.wdoc, nil
+}
+
 // record encodes the session's durable state. Worker goroutine only —
 // it reads the evaluator's pinned base and snapshots the live search.
 func (s *Session) record() ([]byte, error) {
+	doc, err := s.workloadDoc()
+	if err != nil {
+		return nil, err
+	}
 	w := snap.Borrow(sessionRecMagic, sessionRecVersion)
-	w.Blob(s.wdoc)
+	w.Blob(doc)
 	w.Str(s.delta.Base().Format())
 	w.Str(s.best.Format())
 	s.statMu.Lock()

@@ -34,6 +34,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,7 +107,8 @@ type regionProblem struct {
 // engines advanced in parallel rounds, merged and reconciled on demand. It
 // implements scheduler.Stepper directly. Engines are not safe for
 // concurrent use (each Step internally fans out over the regions, but
-// Step itself must not be called concurrently).
+// Step itself must not be called concurrently, and Result updates the
+// reconciliation memo).
 type Engine struct {
 	g    *taskgraph.Graph
 	sys  *platform.System
@@ -128,6 +130,22 @@ type Engine struct {
 	// nothing per round.
 	roundStats []schedule.Progress
 	sem        chan struct{}
+
+	// memo is the last reconciliation, keyed on its merged input.
+	memo reconciled
+}
+
+// reconciled is one reconciliation's input and output. Reconciliation is
+// a pure function of the merged string (the partition, boundary set, Y,
+// sweep count and FullEval are fixed per engine), so Result reuses it for
+// as long as the regions' bests merge to the same string. It is derived
+// state, not search state: snapshots omit it and a restored engine
+// reconciles afresh on its first Result.
+type reconciled struct {
+	merged schedule.String
+	best   schedule.String
+	ms     float64
+	counts schedule.EvalCounts
 }
 
 // NewEngine partitions g and builds one SE engine per region, ready to
@@ -306,8 +324,10 @@ func (e *Engine) Step() schedule.Progress {
 // Result merges the regions' current best solutions in band order,
 // repairs and reconciles the merged string, and returns the full-graph
 // outcome; Iterations is the maximum generation count over all regions.
-// The engine remains steppable afterwards; Result may be called mid-sweep
-// to inspect the best merged solution so far.
+// When the merged string equals the previous call's, the previous
+// reconciliation is returned again without being recomputed. The engine
+// remains steppable afterwards; Result may be called mid-sweep to inspect
+// the best merged solution so far.
 func (e *Engine) Result() *schedule.Result {
 	if e.single {
 		res := e.engines[0].Result()
@@ -333,15 +353,21 @@ func (e *Engine) Result() *schedule.Result {
 		counts.Delta += res.DeltaEvaluations
 		counts.Genes += res.GenesEvaluated
 	}
-	sweeps := e.opts.ReconcileSweeps
-	if sweeps == 0 {
-		sweeps = DefaultReconcileSweeps
-	} else if sweeps < 0 {
-		sweeps = 0
+	if !slices.Equal(merged, e.memo.merged) {
+		sweeps := e.opts.ReconcileSweeps
+		if sweeps == 0 {
+			sweeps = DefaultReconcileSweeps
+		} else if sweeps < 0 {
+			sweeps = 0
+		}
+		rec := newReconciler(e.g, e.sys, e.opts.Y, e.opts.FullEval)
+		// run reconciles schedule.Repair's copy, so merged stays intact
+		// as the memo key.
+		best, ms := rec.run(merged, e.part.Boundary(e.g), sweeps)
+		e.memo = reconciled{merged: merged, best: best, ms: ms, counts: rec.counts()}
 	}
-	rec := newReconciler(e.g, e.sys, e.opts.Y, e.opts.FullEval)
-	best, ms := rec.run(merged, e.part.Boundary(e.g), sweeps)
-	return schedule.NewResult(best, ms, iterations, rec.counts().Add(counts), e.elapsed)
+	m := &e.memo
+	return schedule.NewResult(m.best.Clone(), m.ms, iterations, m.counts.Add(counts), e.elapsed)
 }
 
 // regionOptions builds region r's core.Options from the shard Options.

@@ -250,3 +250,47 @@ func TestJSONRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecode feeds arbitrary bytes — seeded with real documents and
+// truncations of them — through Decode, the entry point for uploaded
+// workloads. Decode must never panic, and every document it accepts must
+// have a canonical encoding: decoding Encode's output and encoding it
+// again reproduces it byte for byte, so a document re-derived from a
+// decoded workload is stable.
+func FuzzDecode(f *testing.F) {
+	for _, w := range []*Workload{
+		Figure1(),
+		MustGenerate(Params{Tasks: 8, Machines: 3, Connectivity: 2, Heterogeneity: 4, CCR: 0.5, Seed: 1}),
+	} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, w); err != nil {
+			f.Fatal(err)
+		}
+		doc := buf.Bytes()
+		f.Add(doc)
+		f.Add(doc[:len(doc)/2])
+		f.Add(doc[:len(doc)-3])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		w, err := Decode(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := Encode(&first, w); err != nil {
+			t.Fatalf("Encode of an accepted document: %v", err)
+		}
+		again, err := Decode(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Decode rejects Encode's output: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := Encode(&second, again); err != nil {
+			t.Fatalf("Encode after re-decoding: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("encoding is not canonical:\n%s\nre-encodes as\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}
