@@ -156,6 +156,16 @@ func reportGenesPerSec(b *testing.B, genes uint64) {
 	}
 }
 
+// reportNsPerGene reports wall time per evaluated gene, the per-step cost
+// of the evaluation engine that genes/sweep alone cannot show: a change
+// that makes each replayed gene cheaper leaves the gene count unchanged.
+func reportNsPerGene(b *testing.B, genes uint64) {
+	b.Helper()
+	if genes > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(genes), "ns/gene")
+	}
+}
+
 func headTail(fig experiments.Figure) (early, late float64) {
 	pts := fig.Series[0].Points
 	k := len(pts) / 10
@@ -263,6 +273,7 @@ func BenchmarkSEAllocationDeltaVsFull(b *testing.B) {
 			}
 			res := benchSchedule(b, "se", w, scheduler.Budget{MaxIterations: b.N}, opts...)
 			b.ReportMetric(float64(res.GenesEvaluated)/float64(b.N), "genes/sweep")
+			reportNsPerGene(b, res.GenesEvaluated)
 			b.ReportMetric(float64(res.Evaluations)/float64(b.N), "full-evals/sweep")
 			b.ReportMetric(float64(res.DeltaEvaluations)/float64(b.N), "delta-evals/sweep")
 		})
@@ -275,6 +286,7 @@ func BenchmarkSEIteration(b *testing.B) {
 	w := benchWorkload(100, 20)
 	res := benchSchedule(b, "se", w, scheduler.Budget{MaxIterations: b.N}, scheduler.WithSeed(1), scheduler.WithY(9))
 	b.ReportMetric(float64(res.Evaluations)/float64(b.N), "evals/iter")
+	reportNsPerGene(b, res.GenesEvaluated)
 }
 
 // BenchmarkGAGeneration measures whole GA generations at paper scale with

@@ -109,7 +109,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
+			if err := serve.NewHTTPServer(*debugAddr, mux).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "mshc: debug listener:", err)
 			}
 		}()

@@ -91,14 +91,11 @@ func main() {
 	if *accessLog {
 		server.SetAccessLog(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	}
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: server,
-	}
+	srv := serve.NewHTTPServer(*addr, server)
 
 	if *debugAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, debugMux(mgr)); err != nil {
+			if err := serve.NewHTTPServer(*debugAddr, debugMux(mgr)).ListenAndServe(); err != nil {
 				fmt.Fprintln(os.Stderr, "mshd: debug listener:", err)
 			}
 		}()

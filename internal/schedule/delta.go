@@ -126,6 +126,16 @@ type DeltaEvaluator struct {
 	// divergence on machines with no tasks left to run.
 	lastUse []int
 
+	// xfer caches every edge's transfer time under the base assignment.
+	// A data item is one DAG edge, so its ID is the edge's slot; between
+	// calls xfer[d] == sys.TransferTime(baseAssign[producer],
+	// baseAssign[consumer], d). Pin fills it, CommitMove reprices the
+	// moved task's edges, and MoveMakespan reprices them for the
+	// candidate machine for the length of one replay. Replayed genes then
+	// add a cached operand instead of resolving the machine pair in the
+	// transfer matrix per predecessor.
+	xfer []float64
+
 	// lastFrom is the first replayed position of the most recent
 	// successful evaluation (len(base) after a Pin), or -1 when the last
 	// replay aborted. FinishInto needs it to merge base and replayed
@@ -180,6 +190,7 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		assign:     make([]taskgraph.MachineID, n),
 		ready:      make([]float64, l),
 		lastUse:    make([]int, l),
+		xfer:       make([]float64, g.NumItems()),
 		lastFrom:   -1,
 	}
 	d.memo.ready = make([]float64, l)
@@ -236,7 +247,9 @@ func (d *DeltaEvaluator) Pin(s String) (makespan, total float64) {
 		for _, p := range d.g.Preds(t) {
 			// Predecessors precede t in the string (topological order), so
 			// their finish times and machines are already set.
-			arr := d.baseFinish[p.Task] + d.sys.TransferTime(d.baseAssign[p.Task], m, p.Item)
+			x := d.sys.TransferTime(d.baseAssign[p.Task], m, p.Item)
+			d.xfer[p.Item] = x
+			arr := d.baseFinish[p.Task] + x
 			if arr > start {
 				start = arr
 			}
@@ -373,7 +386,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 	stride := d.stride
 	lastCk := ((n - 1) / stride) * stride
 	track := maxInfl < lastCk
-	base, work, ready := d.base, d.work, d.ready
+	base, work, ready, xfer := d.base, d.work, d.ready, d.xfer
 	baseFinish, baseAssign := d.baseFinish, d.baseAssign
 	steps := 0
 	start := from
@@ -383,6 +396,16 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 	nextAttempt := (hi/stride + 1) * stride // first checkpoint past hi
 	attemptGap := stride
 	ok = true
+	// Every gene but the moved one keeps its base machine, so the edge
+	// cache holds the right transfer times for all edges except the
+	// moved task's own, which this candidate's machine reprices until
+	// the walk ends. Genes before q read none of them — the moved task
+	// is stepped at q and the valid range places every successor after
+	// it — so the memoized prefix is unaffected.
+	moving := movedM != baseAssign[movedT]
+	if moving {
+		d.priceEdges(movedT, movedM)
+	}
 
 	// Walk the moved string's suffix without building it: the base genes
 	// shift by one across [min(idx,q), max(idx,q)], the moved gene lands
@@ -462,11 +485,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 
 		st := ready[mm]
 		for _, pr := range d.g.Preds(t) {
-			pm := baseAssign[pr.Task]
-			if pr.Task == movedT {
-				pm = movedM
-			}
-			arr := work[pr.Task] + d.sys.TransferTime(pm, mm, pr.Item)
+			arr := work[pr.Task] + xfer[pr.Item]
 			if arr > st {
 				st = arr
 			}
@@ -499,6 +518,9 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		}
 	}
 
+	if moving {
+		d.priceEdges(movedT, baseAssign[movedT])
+	}
 	d.counts.Delta++
 	d.counts.Genes += uint64(steps)
 	if !ok {
@@ -516,9 +538,9 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 // preceding successful MoveMakespan evaluated, without re-evaluating
 // anything: the work array already holds every affected finish time, so
 // only the base string, positions and checkpoints need updating — a walk
-// of the suffix with no predecessor or transfer-time work. It returns the
-// new base's makespan and total finish time (identical to what that
-// MoveMakespan returned).
+// of the suffix with no predecessor work — plus the cached transfer times
+// of the moved task's own edges. It returns the new base's makespan and
+// total finish time (identical to what that MoveMakespan returned).
 //
 // This is the accept path of SA and tabu: evaluate a candidate with
 // MoveMakespan, and if the search adopts it, CommitMove instead of a full
@@ -536,6 +558,7 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 	gene := d.base[idx]
 	gene.Machine = m
 	d.baseAssign[gene.Task] = m
+	d.priceEdges(gene.Task, m)
 	if q >= idx {
 		copy(d.base[idx:q], d.base[idx+1:q+1])
 		d.base[q] = gene
@@ -580,6 +603,17 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 	d.lastMove.valid = false
 	d.memo.valid = false
 	return d.baseMs, d.baseTotal
+}
+
+// priceEdges caches the transfer times of t's incoming and outgoing edges
+// as if t ran on m and every other task on its base machine.
+func (d *DeltaEvaluator) priceEdges(t taskgraph.TaskID, m taskgraph.MachineID) {
+	for _, pr := range d.g.Preds(t) {
+		d.xfer[pr.Item] = d.sys.TransferTime(d.baseAssign[pr.Task], m, pr.Item)
+	}
+	for _, sc := range d.g.Succs(t) {
+		d.xfer[sc.Item] = d.sys.TransferTime(m, d.baseAssign[sc.Task], sc.Item)
+	}
 }
 
 // LCP returns the number of leading genes s shares with the pinned base

@@ -1,0 +1,211 @@
+package schedule_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/platform"
+	"repro/internal/schedule"
+	"repro/internal/taskgraph"
+	"repro/internal/workload"
+)
+
+// Metamorphic oracles for the evaluators. The delta-vs-full differential
+// cannot catch a defect both evaluators share — a wrong row of the
+// transfer matrix, say — because both would agree on the same wrong
+// answer. These tests instead transform the problem in a way whose effect
+// on every answer is known exactly, and hold each evaluator to it.
+
+// relabelMachines returns w with machine m renamed perm[m]: the exec rows
+// permuted and every transfer row moved to the renamed pair, so that
+// Tr'(perm[a], perm[b]) = Tr(a, b). Pair rows are located by enumerating
+// the documented row order (0,1), (0,2), …, (1,2), …, not through
+// PairIndex, so the oracle does not share the code it checks.
+func relabelMachines(w *workload.Workload, perm []taskgraph.MachineID) *workload.Workload {
+	sys := w.System
+	l := sys.NumMachines()
+	rows := make(map[[2]int]int, l*(l-1)/2)
+	for a := 0; a < l; a++ {
+		for b := a + 1; b < l; b++ {
+			rows[[2]int{a, b}] = len(rows)
+		}
+	}
+	row := func(a, b taskgraph.MachineID) int {
+		if a > b {
+			a, b = b, a
+		}
+		return rows[[2]int{int(a), int(b)}]
+	}
+	exec := sys.ExecMatrix()
+	relExec := make([][]float64, l)
+	for m, r := range exec {
+		relExec[perm[m]] = r
+	}
+	var relTr [][]float64
+	if tr := sys.TransferMatrix(); len(tr) > 0 {
+		relTr = make([][]float64, len(tr))
+		for a := 0; a < l; a++ {
+			for b := a + 1; b < l; b++ {
+				ma, mb := taskgraph.MachineID(a), taskgraph.MachineID(b)
+				relTr[row(perm[ma], perm[mb])] = tr[row(ma, mb)]
+			}
+		}
+	}
+	return &workload.Workload{
+		Graph:  w.Graph,
+		System: platform.MustNew(sys.NumTasks(), sys.NumItems(), relExec, relTr),
+	}
+}
+
+// scaleTimes returns w with every execution and transfer time multiplied
+// by c.
+func scaleTimes(w *workload.Workload, c float64) *workload.Workload {
+	scale := func(m [][]float64) [][]float64 {
+		for _, r := range m {
+			for j := range r {
+				r[j] *= c
+			}
+		}
+		return m
+	}
+	sys := w.System
+	return &workload.Workload{
+		Graph:  w.Graph,
+		System: platform.MustNew(sys.NumTasks(), sys.NumItems(), scale(sys.ExecMatrix()), scale(sys.TransferMatrix())),
+	}
+}
+
+// metamorphicMove draws one valid move of s.
+func metamorphicMove(w *workload.Workload, s schedule.String, pos []int, rng *rand.Rand) (idx, q int, m taskgraph.MachineID) {
+	idx = rng.Intn(len(s))
+	lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
+	return idx, lo + rng.Intn(hi-lo+1), taskgraph.MachineID(rng.Intn(w.System.NumMachines()))
+}
+
+// TestMetamorphicMachineRelabelling: renaming the machines — exec rows,
+// transfer pair rows and the string's assignments alike — describes the
+// same schedule, so every answer of both evaluators must be bit-identical
+// to the unrenamed one: the same floats meet in the same order.
+func TestMetamorphicMachineRelabelling(t *testing.T) {
+	f := func(seed int64) bool {
+		w := randomWorkload(seed)
+		rng := rand.New(rand.NewSource(seed ^ 0x9e1a))
+		l, n := w.System.NumMachines(), w.Graph.NumTasks()
+		perm := make([]taskgraph.MachineID, l)
+		for i, p := range rng.Perm(l) {
+			perm[i] = taskgraph.MachineID(p)
+		}
+		rw := relabelMachines(w, perm)
+		s := randomSolution(w, rng)
+		rs := s.Clone()
+		for i := range rs {
+			rs[i].Machine = perm[rs[i].Machine]
+		}
+
+		fin, relFin := make([]float64, n), make([]float64, n)
+		sameFinish := func(what string) {
+			t.Helper()
+			for task := range fin {
+				if fin[task] != relFin[task] {
+					t.Fatalf("seed %d %s: finish[s%d] = %v relabelled, %v original", seed, what, task, relFin[task], fin[task])
+				}
+			}
+		}
+
+		e, re := schedule.NewEvaluator(w.Graph, w.System), schedule.NewEvaluator(rw.Graph, rw.System)
+		ms, tot := e.MakespanTotal(s)
+		rms, rtot := re.MakespanTotal(rs)
+		if ms != rms || tot != rtot {
+			t.Fatalf("seed %d: Evaluator (%v, %v) relabelled, (%v, %v) original", seed, rms, rtot, ms, tot)
+		}
+		e.FinishInto(s, fin)
+		re.FinishInto(rs, relFin)
+		sameFinish("Evaluator.FinishInto")
+
+		d, rd := schedule.NewDeltaEvaluator(w.Graph, w.System), schedule.NewDeltaEvaluator(rw.Graph, rw.System)
+		d.Pin(s)
+		rd.Pin(rs)
+		pos := make([]int, n)
+		s.Positions(pos)
+		for trial := 0; trial < 12; trial++ {
+			idx, q, m := metamorphicMove(w, s, pos, rng)
+			ms, tot, _ := d.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+			rms, rtot, _ := rd.MoveMakespan(idx, q, perm[m], schedule.NoBound, schedule.NoBound)
+			if ms != rms || tot != rtot {
+				t.Fatalf("seed %d: MoveMakespan(%d,%d,m%d) = (%v, %v) relabelled, (%v, %v) original",
+					seed, idx, q, m, rms, rtot, ms, tot)
+			}
+			d.FinishInto(fin)
+			rd.FinishInto(relFin)
+			sameFinish("DeltaEvaluator.FinishInto")
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMetamorphicPowerOfTwoScaling: multiplying every execution and
+// transfer time by 2^k multiplies every finish time, the makespan and the
+// total by exactly 2^k — binary floating-point rounding is invariant under
+// power-of-two scaling while nothing overflows or goes subnormal — for
+// both evaluators.
+func TestMetamorphicPowerOfTwoScaling(t *testing.T) {
+	for _, k := range []int{-3, 5} {
+		c := math.Ldexp(1, k)
+		f := func(seed int64) bool {
+			w := randomWorkload(seed)
+			sw := scaleTimes(w, c)
+			rng := rand.New(rand.NewSource(seed ^ 0x5ca1e))
+			n := w.Graph.NumTasks()
+			s := randomSolution(w, rng)
+
+			fin, scFin := make([]float64, n), make([]float64, n)
+			scaledFinish := func(what string) {
+				t.Helper()
+				for task := range fin {
+					if scFin[task] != fin[task]*c {
+						t.Fatalf("2^%d seed %d %s: finish[s%d] = %v scaled, want %v", k, seed, what, task, scFin[task], fin[task]*c)
+					}
+				}
+			}
+			scaled := func(what string, ms, tot, sms, stot float64) {
+				t.Helper()
+				if sms != ms*c || stot != tot*c {
+					t.Fatalf("2^%d seed %d %s: (%v, %v) scaled, want (%v, %v)", k, seed, what, sms, stot, ms*c, tot*c)
+				}
+			}
+
+			e, se := schedule.NewEvaluator(w.Graph, w.System), schedule.NewEvaluator(sw.Graph, sw.System)
+			ms, tot := e.MakespanTotal(s)
+			sms, stot := se.MakespanTotal(s)
+			scaled("Evaluator", ms, tot, sms, stot)
+			e.FinishInto(s, fin)
+			se.FinishInto(s, scFin)
+			scaledFinish("Evaluator.FinishInto")
+
+			d, sd := schedule.NewDeltaEvaluator(w.Graph, w.System), schedule.NewDeltaEvaluator(sw.Graph, sw.System)
+			ms, tot = d.Pin(s)
+			sms, stot = sd.Pin(s)
+			scaled("Pin", ms, tot, sms, stot)
+			pos := make([]int, n)
+			s.Positions(pos)
+			for trial := 0; trial < 12; trial++ {
+				idx, q, m := metamorphicMove(w, s, pos, rng)
+				ms, tot, _ := d.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+				sms, stot, _ := sd.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+				scaled("MoveMakespan", ms, tot, sms, stot)
+				d.FinishInto(fin)
+				sd.FinishInto(scFin)
+				scaledFinish("DeltaEvaluator.FinishInto")
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Errorf("2^%d: %v", k, err)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -650,5 +652,49 @@ func TestStreamParamFalseMeansPlainJSON(t *testing.T) {
 		if res.Makespan <= 0 || res.Solution == "" {
 			t.Errorf("%s: response is not a plain Result: %+v", q, res)
 		}
+	}
+}
+
+// TestStalledHeaderIsDisconnected: a client that opens a connection and
+// never finishes its request line must be cut off once the header-read
+// bound passes, instead of holding the connection and its goroutine
+// forever. The server comes from the same helper the daemons use; the
+// bound is shortened so the test runs quickly.
+func TestStalledHeaderIsDisconnected(t *testing.T) {
+	mgr := serve.NewManager(serve.Options{})
+	srv := serve.NewHTTPServer("", serve.NewServer(mgr))
+	if srv.ReadHeaderTimeout != serve.ReadHeaderTimeout || serve.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want the constant %v", srv.ReadHeaderTimeout, serve.ReadHeaderTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+		mgr.Close()
+	})
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	// The server may write an error reply before hanging up; either way
+	// the read must reach the end of the stream well before the client's
+	// own deadline.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with an unfinished request line not closed by the server: %v", err)
 	}
 }

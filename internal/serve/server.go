@@ -20,6 +20,20 @@ import (
 // largest legitimate payload and stay far below this.
 const maxBodyBytes = 32 << 20
 
+// ReadHeaderTimeout bounds how long a listener waits for a request's
+// headers, so a client that opens a connection and never finishes its
+// request line cannot hold that connection and its goroutine forever.
+// Bodies and responses stay unbounded in time on purpose: 32 MiB uploads
+// and NDJSON progress streams legitimately take long.
+const ReadHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns an http.Server serving h on addr with
+// ReadHeaderTimeout set. mshd's service and debug listeners and mshc's
+// debug listener are built here.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
 // progressInterval throttles streamed progress events: at most one per
 // interval plus the final iteration, so a tight search loop does not melt
 // the connection. Throttling is observation-only — it cannot change what
