@@ -1,15 +1,18 @@
 // Command perf is the repository's benchmark-ledger harness: it runs the
-// workload preset matrix across the registry's headline algorithms and the
-// serve/snapshot paths, and emits one versioned ledger entry per
-// (preset, algorithm) cell — ns/op, allocs/op, bytes/op, steps/s, genes/s,
-// snapshot encode/decode cost, and the final makespan and evaluation-effort
-// counts as correctness goldens.
+// workload preset matrix across the registry's headline algorithms through
+// the in-process resumable-search API, and emits one versioned ledger
+// entry per (preset, algorithm) cell — ns/op, allocs/op, bytes/op,
+// steps/s, genes/s, snapshot encode/decode cost, and the final makespan
+// and evaluation-effort counts as correctness goldens. Served and
+// distributed search are measured end to end over real HTTP by the
+// mshdbench module instead.
 //
 // The ledger is a committed BENCH_<n>.json file; -check diffs a fresh run
 // against one. The comparison is wall-clock-free by default — exact
 // makespan/effort goldens plus a tolerance band on allocs/op — so CI can
 // gate on it without flaking on machine speed (pass -ns-tol to opt into a
-// throughput band too).
+// throughput band too). A run that shares no cell with the ledger fails,
+// since it compared nothing.
 //
 // Usage:
 //
@@ -29,18 +32,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/scheduler"
-	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -95,13 +93,6 @@ type Entry struct {
 	// Snapshot path timing.
 	SnapshotEncodeNs float64 `json:"snapshot_encode_ns"`
 	SnapshotDecodeNs float64 `json:"snapshot_decode_ns"`
-
-	// Distributed-cell extras: mean coordinator round latency and region
-	// snapshot bytes shipped per round. Latency is hardware-dependent;
-	// bytes/round can shift under hedged re-issue on a loaded machine, so
-	// neither is a -check golden.
-	RoundLatencyNs        float64 `json:"round_latency_ns,omitempty"`
-	SnapshotBytesPerRound float64 `json:"snapshot_bytes_per_round,omitempty"`
 }
 
 // Ledger is one committed BENCH_<n>.json document.
@@ -119,8 +110,6 @@ func main() {
 		presetsFlag = flag.String("presets", "", "comma-separated preset list (default "+defaultPresets+"; with -quick: "+quickPresets+")")
 		algosFlag   = flag.String("algos", defaultAlgos, "comma-separated algorithm list from the scheduler registry")
 		quick       = flag.Bool("quick", false, "restrict the default preset list to the CI-sized cells")
-		noServe     = flag.Bool("no-serve", false, "skip the serve-layer cells")
-		noDist      = flag.Bool("no-dist", false, "skip the distributed fan-out cells")
 		seed        = flag.Int64("seed", 1, "search seed for every cell")
 		shards      = flag.Int("shards", 4, "pinned se-shard region count (adaptive resolution is machine-dependent)")
 		stepsFlag   = flag.Int("steps", 0, "override the per-preset iteration count (0 = built-in table)")
@@ -181,22 +170,6 @@ func main() {
 			led.Entries = append(led.Entries, entry)
 			progress(entry)
 		}
-		if !*noServe {
-			entry, err := runServeCell(preset, steps, *seed)
-			if err != nil {
-				fatal("%s/serve: %v", preset, err)
-			}
-			led.Entries = append(led.Entries, entry)
-			progress(entry)
-		}
-		if !*noDist {
-			entry, err := runDistCell(w, preset, steps, *seed, *shards)
-			if err != nil {
-				fatal("%s/dist: %v", preset, err)
-			}
-			led.Entries = append(led.Entries, entry)
-			progress(entry)
-		}
 	}
 
 	if *memProfile != "" {
@@ -216,11 +189,15 @@ func main() {
 		if err != nil {
 			fatal("check: %v", err)
 		}
-		if n := diffLedgers(golden, &led, *allocTol, *nsTol); n > 0 {
-			fatal("check: %d regression(s) against %s", n, *checkPath)
+		fails, compared := diffLedgers(golden, &led, *allocTol, *nsTol)
+		if fails > 0 {
+			fatal("check: %d regression(s) against %s", fails, *checkPath)
+		}
+		if compared == 0 {
+			fatal("check: no cell of this run overlaps %s, so nothing was compared", *checkPath)
 		}
 		fmt.Fprintf(os.Stderr, "perf: no regressions against %s (%d overlapping cells)\n",
-			*checkPath, overlap(golden, &led))
+			*checkPath, compared)
 	}
 
 	enc, err := json.MarshalIndent(&led, "", "  ")
@@ -296,174 +273,6 @@ func runCell(w *workload.Workload, preset, algo string, steps int, seed int64, s
 	return entry, nil
 }
 
-// runServeCell drives the serving layer's resumable-search path on one
-// preset: session creation, a pinned "se" search stepped one request per
-// iteration (so per-request overhead is on the measured path), and the
-// wire-level snapshot/resume cycle. The makespan golden must match the
-// bare se cell — the serving layer's bit-identity contract.
-func runServeCell(preset string, steps int, seed int64) (Entry, error) {
-	mgr := serve.NewManager(serve.Options{})
-	defer mgr.Close()
-	info, err := mgr.Create(serve.CreateSessionRequest{Preset: preset})
-	if err != nil {
-		return Entry{}, err
-	}
-	if _, err := mgr.OpenSearch(info.ID, serve.RunRequest{Algorithm: "se", Seed: seed}); err != nil {
-		return Entry{}, err
-	}
-
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	var last serve.StepResponse
-	for i := 0; i < steps; i++ {
-		last, err = mgr.StepSearch(info.ID, serve.StepRequest{Steps: 1})
-		if err != nil {
-			return Entry{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-
-	entry := Entry{
-		Preset:      preset,
-		Algo:        "serve/se",
-		Steps:       steps,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(steps),
-		StepsPerSec: float64(steps) / elapsed.Seconds(),
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(steps),
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(steps),
-		Makespan:    last.BestMakespan,
-	}
-
-	var snap serve.SearchSnapshot
-	snapBytes, encodeNs, err := timeEncode(func() ([]byte, error) {
-		s, err := mgr.SearchSnapshot(info.ID)
-		if err != nil {
-			return nil, err
-		}
-		snap = s
-		return s.Snapshot, nil
-	})
-	if err != nil {
-		return Entry{}, fmt.Errorf("search snapshot: %w", err)
-	}
-	entry.SnapshotBytes = len(snapBytes)
-	entry.SnapshotEncodeNs = encodeNs
-	entry.SnapshotDecodeNs, err = timeOp(func() error {
-		_, err := mgr.ResumeSearch(info.ID, snap)
-		return err
-	})
-	if err != nil {
-		return Entry{}, fmt.Errorf("resume: %w", err)
-	}
-	return entry, nil
-}
-
-// distWorkers is the local worker-pool size for the distributed cells: two
-// in-process mshd workers, the smallest pool that exercises fan-out.
-const distWorkers = 2
-
-// startLocalWorkers brings up n in-process mshd workers on loopback
-// listeners and returns their base URLs plus a teardown.
-func startLocalWorkers(n int) ([]string, func(), error) {
-	urls := make([]string, 0, n)
-	var stops []func()
-	stop := func() {
-		for _, f := range stops {
-			f()
-		}
-	}
-	for i := 0; i < n; i++ {
-		mgr := serve.NewManager(serve.Options{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			mgr.Close()
-			stop()
-			return nil, nil, err
-		}
-		srv := &http.Server{Handler: serve.NewServer(mgr)}
-		go srv.Serve(ln)
-		urls = append(urls, "http://"+ln.Addr().String())
-		stops = append(stops, func() {
-			srv.Close()
-			mgr.Close()
-		})
-	}
-	return urls, stop, nil
-}
-
-// runDistCell drives the distributed fan-out on one preset: the se-dist
-// coordinator dispatching its shard regions to two local mshd workers over
-// real HTTP, one round per step. The makespan, effort and snapshot goldens
-// must match the se-shard cell exactly — remote execution changes where
-// generations run, never what they compute — while the dist-only columns
-// record the round-trip cost of keeping every region restorable.
-func runDistCell(w *workload.Workload, preset string, steps int, seed int64, shards int) (Entry, error) {
-	urls, stop, err := startLocalWorkers(distWorkers)
-	if err != nil {
-		return Entry{}, err
-	}
-	defer stop()
-	eng, err := dist.NewEngine(w.Graph, w.System, dist.Options{
-		Shard:      shard.Options{Shards: shards, Seed: seed},
-		WorkerURLs: urls,
-	})
-	if err != nil {
-		return Entry{}, err
-	}
-
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < steps; i++ {
-		eng.Step()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-
-	res, err := eng.Result()
-	if err != nil {
-		return Entry{}, err
-	}
-	met := eng.Metrics()
-	entry := Entry{
-		Preset:         preset,
-		Algo:           fmt.Sprintf("se-dist/%dw", distWorkers),
-		Steps:          steps,
-		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(steps),
-		StepsPerSec:    float64(steps) / elapsed.Seconds(),
-		AllocsPerOp:    float64(m1.Mallocs-m0.Mallocs) / float64(steps),
-		BytesPerOp:     float64(m1.TotalAlloc-m0.TotalAlloc) / float64(steps),
-		Makespan:       res.Makespan,
-		GenesEvaluated: res.GenesEvaluated,
-	}
-	if elapsed > 0 {
-		entry.GenesPerSec = float64(res.GenesEvaluated) / elapsed.Seconds()
-	}
-	if met.Rounds > 0 {
-		entry.RoundLatencyNs = float64(met.RoundLatency.Nanoseconds()) / float64(met.Rounds)
-		entry.SnapshotBytesPerRound = float64(met.SnapshotBytes) / float64(met.Rounds)
-	}
-
-	snapBytes, encodeNs, err := timeEncode(eng.Snapshot)
-	if err != nil {
-		return Entry{}, fmt.Errorf("snapshot: %w", err)
-	}
-	entry.SnapshotBytes = len(snapBytes)
-	entry.SnapshotEncodeNs = encodeNs
-	entry.SnapshotDecodeNs, err = timeOp(func() error {
-		_, err := dist.RestoreEngine(snapBytes, w.Graph, w.System)
-		return err
-	})
-	if err != nil {
-		return Entry{}, fmt.Errorf("restore: %w", err)
-	}
-	return entry, nil
-}
-
 // snapReps bounds the snapshot timing loops; the minimum over reps filters
 // scheduler noise out of a microsecond-scale measurement.
 const snapReps = 8
@@ -511,27 +320,27 @@ func loadLedger(path string) (*Ledger, error) {
 }
 
 // diffLedgers compares the current run against the golden ledger on every
-// overlapping (preset, algo) cell and reports the number of regressions.
-// Makespans, effort counts and snapshot sizes must match exactly (they are
-// bit-identity goldens); allocs/op gets a relative band plus a small
-// absolute slack for scheduler jitter in parallel cells; ns/op is compared
-// only when nsTol > 0.
-func diffLedgers(golden, cur *Ledger, allocTol, nsTol float64) int {
+// overlapping (preset, algo) cell and reports the number of regressions
+// and of compared cells. Makespans, effort counts and snapshot sizes must
+// match exactly (they are bit-identity goldens); allocs/op gets a
+// relative band plus a small absolute slack for scheduler jitter in
+// parallel cells; ns/op is compared only when nsTol > 0.
+func diffLedgers(golden, cur *Ledger, allocTol, nsTol float64) (fails, compared int) {
 	if golden.Seed != cur.Seed || golden.Shards != cur.Shards {
 		fmt.Fprintf(os.Stderr, "perf: FAIL config mismatch: golden seed=%d shards=%d, run seed=%d shards=%d\n",
 			golden.Seed, golden.Shards, cur.Seed, cur.Shards)
-		return 1
+		return 1, 0
 	}
 	goldenByKey := make(map[string]Entry, len(golden.Entries))
 	for _, e := range golden.Entries {
 		goldenByKey[e.Preset+"/"+e.Algo] = e
 	}
-	fails := 0
 	for _, e := range cur.Entries {
 		g, ok := goldenByKey[e.Preset+"/"+e.Algo]
 		if !ok {
 			continue
 		}
+		compared++
 		key := e.Preset + "/" + e.Algo
 		if e.Steps != g.Steps {
 			fails++
@@ -550,12 +359,6 @@ func diffLedgers(golden, cur *Ledger, allocTol, nsTol float64) int {
 			fails++
 			fmt.Fprintf(os.Stderr, "perf: FAIL %s: snapshot %d bytes, golden %d\n", key, e.SnapshotBytes, g.SnapshotBytes)
 		}
-		if strings.HasPrefix(e.Algo, "se-dist/") {
-			// The distributed cell's allocations ride on the HTTP stack and
-			// shift when hedged re-issue fires on a loaded machine; its
-			// bit-identity goldens above still gate it.
-			continue
-		}
 		if limit := g.AllocsPerOp*(1+allocTol) + 2; e.AllocsPerOp > limit {
 			fails++
 			fmt.Fprintf(os.Stderr, "perf: FAIL %s: allocs/op %.1f exceeds golden %.1f (+%.0f%% tolerance)\n",
@@ -569,22 +372,7 @@ func diffLedgers(golden, cur *Ledger, allocTol, nsTol float64) int {
 			}
 		}
 	}
-	return fails
-}
-
-// overlap counts the (preset, algo) cells present in both ledgers.
-func overlap(golden, cur *Ledger) int {
-	keys := make(map[string]bool, len(golden.Entries))
-	for _, e := range golden.Entries {
-		keys[e.Preset+"/"+e.Algo] = true
-	}
-	n := 0
-	for _, e := range cur.Entries {
-		if keys[e.Preset+"/"+e.Algo] {
-			n++
-		}
-	}
-	return n
+	return fails, compared
 }
 
 func progress(e Entry) {

@@ -20,12 +20,11 @@
 // weakly-coupled regions swept in parallel, every algorithm is a
 // resumable search engine (Open/Step/Snapshot/Restore, with versioned
 // snapshots that continue bit-identically after a restore), a
-// session-pinned serving layer exposes it all — pinned live searches,
-// step/snapshot/resume and whole-session evict/revive included — as a
-// long-lived HTTP service backed by an optional durable store that
-// recovers every session bit-identically after a crash, a
-// distributed coordinator fans the
-// sharded sweep's regions out to a pool of those services, surviving
+// session-pinned serving layer exposes it all — pinned live searches and
+// step/snapshot/resume included — as a long-lived HTTP service backed by
+// an optional durable store that parks idle sessions and recovers every
+// session bit-identically after a crash, a distributed coordinator fans
+// the sharded sweep's regions out to a pool of those services, surviving
 // worker crashes bit-identically, and an online-scheduling harness
 // replays tick-stamped churn traces — task arrivals, machine joins,
 // leaves and speed changes — against a running engine, warm-starting it

@@ -72,35 +72,11 @@ type Options struct {
 	// RequestTimeout bounds each worker RPC (0 = DefaultRequestTimeout).
 	RequestTimeout time.Duration
 
-	// Metrics, when non-nil, receives live mirrors of the coordinator's
-	// transport counters and per-worker health/latency/load gauges, so a
-	// serving process exposes them on /metrics mid-run. Nil keeps the
-	// bookkeeping engine-local (the Metrics() snapshot still works).
-	// Observation-only either way.
+	// Metrics is the registry the coordinator's transport counters and
+	// per-worker health/latency/load gauges register on, so a serving
+	// process exposes them on /metrics mid-run. Nil gets a private
+	// registry. Observation-only either way.
 	Metrics *obs.Registry
-}
-
-// Metrics aggregates the coordinator's transport-level counters over the
-// run so far.
-type Metrics struct {
-	// Rounds counts completed coordinator rounds; RPCs counts successful
-	// step RPCs (placement traffic not included).
-	Rounds int
-	RPCs   int
-	// Retries counts failed step attempts that were retried or
-	// re-placed; Redispatches counts regions moved to a different worker;
-	// Hedges counts speculative duplicate rounds issued against
-	// stragglers; LocalSteps counts generations executed by the
-	// in-process fallback.
-	Retries      int
-	Redispatches int
-	Hedges       int
-	LocalSteps   int
-	// SnapshotBytes sums the serialized region snapshots returned by step
-	// RPCs — the wire cost of keeping every region restorable each round.
-	SnapshotBytes uint64
-	// RoundLatency accumulates wall-clock time spent inside Step.
-	RoundLatency time.Duration
 }
 
 // region is one shard region's dispatch state: the last accepted engine
@@ -215,12 +191,6 @@ func (e *Engine) RoundBatch() int { return e.batch }
 // Regions returns the effective region count.
 func (e *Engine) Regions() int { return e.local.Regions() }
 
-// Metrics returns a point-in-time copy of the coordinator's transport
-// counters. Safe to call while a round is in flight — the counters are
-// atomics, so the copy is a consistent-enough live read, never a torn
-// one.
-func (e *Engine) Metrics() Metrics { return e.met.snapshot() }
-
 // Step advances every live region by RoundBatch generations — one RPC per
 // remote region, in parallel — and returns the round's aggregated
 // observation (shard.Engine.Step semantics; with RoundBatch > 1 it
@@ -262,7 +232,8 @@ func (e *Engine) Step() schedule.Progress {
 	e.elapsed += dur
 	round.Elapsed = e.elapsed
 	e.dirty = true
-	e.met.round(dur, e.elapsed)
+	e.met.rounds.Inc()
+	e.met.roundDur.Observe(dur.Seconds())
 	return round
 }
 

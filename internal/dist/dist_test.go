@@ -72,6 +72,12 @@ const (
 	testRounds = 30
 )
 
+// count reads one of the coordinator's counters off the registry it
+// registered on.
+func count(reg *obs.Registry, name string) uint64 {
+	return reg.Counter(name, "").Value()
+}
+
 func testWorkload(t *testing.T) *workload.Workload {
 	t.Helper()
 	w, err := workload.Preset(testPreset)
@@ -183,9 +189,11 @@ func TestWorkerKillRecovery(t *testing.T) {
 
 	srvA := startWorker(t)
 	srvB := startWorker(t)
+	reg := obs.NewRegistry()
 	e, err := dist.NewEngine(w.Graph, w.System, dist.Options{
 		Shard:      shard.Options{Shards: testShards, Seed: testSeed},
 		WorkerURLs: []string{srvA.URL, srvB.URL},
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,12 +217,12 @@ func TestWorkerKillRecovery(t *testing.T) {
 	}
 	requireSameResult(t, "worker-kill recovery vs se-shard", *got, want)
 
-	m := e.Metrics()
-	if m.Retries == 0 && m.Redispatches == 0 && m.LocalSteps == 0 {
-		t.Errorf("killing a worker exercised no recovery path: %+v", m)
+	if count(reg, "dist_retries_total") == 0 && count(reg, "dist_redispatches_total") == 0 &&
+		count(reg, "dist_local_steps_total") == 0 {
+		t.Error("killing a worker exercised no recovery path")
 	}
-	if m.Rounds != testRounds {
-		t.Errorf("rounds = %d, want %d", m.Rounds, testRounds)
+	if got := count(reg, "dist_rounds_total"); got != testRounds {
+		t.Errorf("rounds = %d, want %d", got, testRounds)
 	}
 }
 
@@ -250,8 +258,8 @@ func TestSnapshotRestoreContinuesBitIdentically(t *testing.T) {
 	requireSameResult(t, "snapshot/restore se-dist", got, want)
 }
 
-// TestRestoredEngineMetrics: a restored coordinator reports its
-// transport counters like a fresh one instead of dereferencing missing
+// TestRestoredEngineMetrics: a restored coordinator keeps its instruments
+// on a private registry, so stepping it never dereferences missing
 // bookkeeping.
 func TestRestoredEngineMetrics(t *testing.T) {
 	w := testWorkload(t)
@@ -271,9 +279,6 @@ func TestRestoredEngineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored.Step()
-	if m := restored.Metrics(); m != (dist.Metrics{}) {
-		t.Errorf("in-process restored coordinator reports transport counters %+v, want none", m)
-	}
 }
 
 // TestMetricsAccounting sanity-checks the transport counters on a clean
@@ -283,9 +288,11 @@ func TestMetricsAccounting(t *testing.T) {
 	w := testWorkload(t)
 	srvA := startWorker(t)
 	srvB := startWorker(t)
+	reg := obs.NewRegistry()
 	e, err := dist.NewEngine(w.Graph, w.System, dist.Options{
 		Shard:      shard.Options{Shards: testShards, Seed: testSeed},
 		WorkerURLs: []string{srvA.URL, srvB.URL},
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,15 +301,15 @@ func TestMetricsAccounting(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		e.Step()
 	}
-	m := e.Metrics()
-	if want := rounds * e.Regions(); m.RPCs != want {
-		t.Errorf("RPCs = %d, want %d (hedges %d, retries %d)", m.RPCs, want, m.Hedges, m.Retries)
+	if got, want := count(reg, "dist_rpcs_total"), uint64(rounds*e.Regions()); got != want {
+		t.Errorf("RPCs = %d, want %d (hedges %d, retries %d)", got, want,
+			count(reg, "dist_hedges_total"), count(reg, "dist_retries_total"))
 	}
-	if m.SnapshotBytes == 0 {
-		t.Error("SnapshotBytes = 0, want > 0")
+	if count(reg, "dist_snapshot_bytes_total") == 0 {
+		t.Error("snapshot bytes = 0, want > 0")
 	}
-	if m.LocalSteps != 0 {
-		t.Errorf("LocalSteps = %d on a healthy pool, want 0", m.LocalSteps)
+	if got := count(reg, "dist_local_steps_total"); got != 0 {
+		t.Errorf("local steps = %d on a healthy pool, want 0", got)
 	}
 }
 
@@ -329,12 +336,12 @@ func startDelayableWorker(t *testing.T) (*httptest.Server, *atomic.Int64) {
 }
 
 // TestHedgedStragglerRaceSafeTotals is the race-safety contract of the
-// lock-free metrics rework: a worker turned straggler forces concurrent
-// hedges while another goroutine scrapes the registry and the Metrics()
-// snapshot mid-round, and every region round must still be accounted
-// exactly once — no lost or torn counter update (CI's -race job runs
-// this). The computation itself stays bit-identical to se-shard: hedging
-// changes where a round runs, never what it computes.
+// lock-free instruments: a worker turned straggler forces concurrent
+// hedges while another goroutine scrapes the registry mid-round, and
+// every region round must still be accounted exactly once — no lost or
+// torn counter update (CI's -race job runs this). The computation itself
+// stays bit-identical to se-shard: hedging changes where a round runs,
+// never what it computes.
 func TestHedgedStragglerRaceSafeTotals(t *testing.T) {
 	const rounds = 12
 	const warmRounds = 2
@@ -353,8 +360,8 @@ func TestHedgedStragglerRaceSafeTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Scrape concurrently with the rounds: the exporters and the compat
-	// snapshot must read cleanly against in-flight increments.
+	// Scrape concurrently with the rounds: the exporters must read cleanly
+	// against in-flight increments.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -365,7 +372,6 @@ func TestHedgedStragglerRaceSafeTotals(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				e.Metrics()
 				reg.WritePrometheus(io.Discard)
 			}
 		}
@@ -385,19 +391,18 @@ func TestHedgedStragglerRaceSafeTotals(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	m := e.Metrics()
-	if m.Hedges == 0 {
+	if count(reg, "dist_hedges_total") == 0 {
 		t.Error("straggling worker triggered no hedges")
 	}
-	if m.Rounds != rounds {
-		t.Errorf("Rounds = %d, want %d", m.Rounds, rounds)
+	if got := count(reg, "dist_rounds_total"); got != rounds {
+		t.Errorf("rounds = %d, want %d", got, rounds)
 	}
-	if want := rounds * e.Regions(); m.RPCs != want {
+	if got, want := count(reg, "dist_rpcs_total"), uint64(rounds*e.Regions()); got != want {
 		t.Errorf("RPCs = %d, want exactly %d — every region round accepted once (hedges %d, retries %d)",
-			m.RPCs, want, m.Hedges, m.Retries)
+			got, want, count(reg, "dist_hedges_total"), count(reg, "dist_retries_total"))
 	}
-	if m.LocalSteps != 0 {
-		t.Errorf("LocalSteps = %d, want 0 (the straggler is slow, not dead)", m.LocalSteps)
+	if got := count(reg, "dist_local_steps_total"); got != 0 {
+		t.Errorf("local steps = %d, want 0 (the straggler is slow, not dead)", got)
 	}
 
 	got, err := e.Result()
@@ -406,8 +411,8 @@ func TestHedgedStragglerRaceSafeTotals(t *testing.T) {
 	}
 	requireSameResult(t, "hedged straggler vs se-shard", *got, want)
 
-	// The shared registry carries the live mirrors: transport totals and
-	// the per-worker gauges the acceptance scrape looks for.
+	// The registry carries the transport totals and the per-worker gauges
+	// the acceptance scrape looks for.
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -1,41 +1,18 @@
 package dist
 
-// The coordinator's instrument set, in two views at once: engine-local
-// atomic totals behind the compat Metrics() snapshot (tests and cmd/perf
-// read it), and — when Options.Metrics supplies a shared obs.Registry —
-// live mirrors every increment lands in, so /metrics on a serving
+// The coordinator's instrument set, registered on Options.Metrics — or on
+// a private registry when none is supplied — so /metrics on a serving
 // coordinator shows transport counters and per-worker gauges mid-run.
-// Region rounds run concurrently (and hedges concurrently within a
-// round), so every mutation is a lock-free atomic: no counter update may
-// be lost or torn under -race.
+// Registration is get-or-create, so coordinators sharing one registry
+// (several serving sessions) accumulate into the same totals: the scrape
+// shows the process, not one engine. Region rounds run concurrently (and
+// hedges concurrently within a round); the instruments are lock-free
+// atomics, so no update is lost or torn under -race.
 
-import (
-	"sync/atomic"
-	"time"
+import "repro/internal/obs"
 
-	"repro/internal/obs"
-)
-
-// distMetrics is the engine's internal metrics state. The zero value is
-// not usable; construct with newDistMetrics.
+// distMetrics are the coordinator's registry instruments.
 type distMetrics struct {
-	rounds        atomic.Uint64
-	rpcs          atomic.Uint64
-	retries       atomic.Uint64
-	redispatches  atomic.Uint64
-	hedges        atomic.Uint64
-	localSteps    atomic.Uint64
-	snapshotBytes atomic.Uint64
-	roundLatency  atomic.Int64 // cumulative nanoseconds inside Step
-
-	reg *regInstruments // nil without a shared registry
-}
-
-// regInstruments are the shared-registry mirrors. Registration is
-// get-or-create, so coordinators sharing one registry (several serving
-// sessions) accumulate into the same totals — that is the point: the
-// scrape shows the process, not one engine.
-type regInstruments struct {
 	rounds        *obs.Counter
 	rpcs          *obs.Counter
 	retries       *obs.Counter
@@ -51,14 +28,13 @@ type regInstruments struct {
 	workerFailures *obs.CounterVec
 }
 
-// newDistMetrics builds the instrument set; reg may be nil (engine-local
-// bookkeeping only).
+// newDistMetrics registers the instrument set on reg; nil gets a private
+// registry.
 func newDistMetrics(reg *obs.Registry) *distMetrics {
-	m := &distMetrics{}
 	if reg == nil {
-		return m
+		reg = obs.NewRegistry()
 	}
-	m.reg = &regInstruments{
+	return &distMetrics{
 		rounds: reg.Counter("dist_rounds_total",
 			"Completed se-dist coordinator rounds."),
 		rpcs: reg.Counter("dist_rpcs_total",
@@ -83,106 +59,5 @@ func newDistMetrics(reg *obs.Registry) *distMetrics {
 			"Regions currently placed on the worker.", "worker"),
 		workerFailures: reg.CounterVec("dist_worker_failures_total",
 			"Failed RPCs per worker.", "worker"),
-	}
-	return m
-}
-
-func (m *distMetrics) incRetry() {
-	m.retries.Add(1)
-	if m.reg != nil {
-		m.reg.retries.Inc()
-	}
-}
-
-func (m *distMetrics) incRedispatch() {
-	m.redispatches.Add(1)
-	if m.reg != nil {
-		m.reg.redispatches.Inc()
-	}
-}
-
-func (m *distMetrics) incHedge() {
-	m.hedges.Add(1)
-	if m.reg != nil {
-		m.reg.hedges.Inc()
-	}
-}
-
-func (m *distMetrics) addLocalSteps(n int) {
-	m.localSteps.Add(uint64(n))
-	if m.reg != nil {
-		m.reg.localSteps.Add(uint64(n))
-	}
-}
-
-// acceptRPC records one successful step RPC and the wire size of the
-// snapshot it returned.
-func (m *distMetrics) acceptRPC(wireBytes int) {
-	m.rpcs.Add(1)
-	m.snapshotBytes.Add(uint64(wireBytes))
-	if m.reg != nil {
-		m.reg.rpcs.Inc()
-		m.reg.snapshotBytes.Add(uint64(wireBytes))
-	}
-}
-
-// round records one completed coordinator round: its own duration into
-// the histogram, the run's cumulative elapsed into the compat snapshot.
-func (m *distMetrics) round(dur time.Duration, elapsed time.Duration) {
-	m.rounds.Add(1)
-	m.roundLatency.Store(int64(elapsed))
-	if m.reg != nil {
-		m.reg.rounds.Inc()
-		m.reg.roundDur.Observe(dur.Seconds())
-	}
-}
-
-// workerHealthyInit seeds the worker's gauges at pool construction, so
-// a scrape before the first round already lists every configured worker.
-func (m *distMetrics) workerHealthyInit(url string) {
-	if m.reg == nil {
-		return
-	}
-	m.reg.workerHealthy.With(url).Set(1)
-	m.reg.workerLoad.With(url).Set(0)
-}
-
-// workerOK mirrors a successful RPC into the worker's gauges.
-func (m *distMetrics) workerOK(url string, ewma time.Duration) {
-	if m.reg == nil {
-		return
-	}
-	m.reg.workerHealthy.With(url).Set(1)
-	m.reg.workerLatency.With(url).Set(ewma.Seconds())
-}
-
-// workerFail mirrors a failed RPC: the worker enters cooldown.
-func (m *distMetrics) workerFail(url string) {
-	if m.reg == nil {
-		return
-	}
-	m.reg.workerHealthy.With(url).Set(0)
-	m.reg.workerFailures.With(url).Inc()
-}
-
-// workerLoad mirrors the worker's placement load.
-func (m *distMetrics) workerLoad(url string, load int) {
-	if m.reg == nil {
-		return
-	}
-	m.reg.workerLoad.With(url).Set(float64(load))
-}
-
-// snapshot renders the compat Metrics view from the atomic totals.
-func (m *distMetrics) snapshot() Metrics {
-	return Metrics{
-		Rounds:        int(m.rounds.Load()),
-		RPCs:          int(m.rpcs.Load()),
-		Retries:       int(m.retries.Load()),
-		Redispatches:  int(m.redispatches.Load()),
-		Hedges:        int(m.hedges.Load()),
-		LocalSteps:    int(m.localSteps.Load()),
-		SnapshotBytes: m.snapshotBytes.Load(),
-		RoundLatency:  time.Duration(m.roundLatency.Load()),
 	}
 }

@@ -28,7 +28,7 @@ const (
 type worker struct {
 	url    string
 	client *serve.Client
-	met    *distMetrics // mirrors health/latency/load into the registry
+	met    *distMetrics // health/latency/load gauges
 
 	mu            sync.Mutex
 	fails         int           // consecutive failures
@@ -57,7 +57,8 @@ func (w *worker) ok(d time.Duration) {
 	} else {
 		w.ewma = (3*w.ewma + d) / 4
 	}
-	w.met.workerOK(w.url, w.ewma)
+	w.met.workerHealthy.With(w.url).Set(1)
+	w.met.workerLatency.With(w.url).Set(w.ewma.Seconds())
 }
 
 // fail records a failed RPC and puts the worker in an exponentially
@@ -72,7 +73,8 @@ func (w *worker) fail() {
 		d = failCooldownMax
 	}
 	w.cooldownUntil = time.Now().Add(d)
-	w.met.workerFail(w.url)
+	w.met.workerHealthy.With(w.url).Set(0)
+	w.met.workerFailures.With(w.url).Inc()
 }
 
 // placed adjusts the worker's placement load by delta.
@@ -81,7 +83,7 @@ func (w *worker) placed(delta int) {
 	w.load += delta
 	load := w.load
 	w.mu.Unlock()
-	w.met.workerLoad(w.url, load)
+	w.met.workerLoad.With(w.url).Set(float64(load))
 }
 
 // hedgeDelay returns how long a step RPC may run before the coordinator
@@ -120,7 +122,10 @@ func newPool(urls []string, timeout time.Duration, met *distMetrics) *pool {
 	p := &pool{workers: make([]*worker, len(urls))}
 	for i, u := range urls {
 		p.workers[i] = &worker{url: u, client: serve.NewClient(u).WithTimeout(timeout), met: met}
-		met.workerHealthyInit(u)
+		// Seed the gauges, so a scrape before the first round already
+		// lists every configured worker.
+		met.workerHealthy.With(u).Set(1)
+		met.workerLoad.With(u).Set(0)
 	}
 	return p
 }

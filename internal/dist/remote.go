@@ -89,7 +89,7 @@ func (e *Engine) stepRegion(ctx context.Context, rg *region) {
 	ctx = serve.WithRequestID(ctx, obs.NewRequestID())
 	for attempt := 0; attempt < maxStepAttempts; attempt++ {
 		if attempt > 0 {
-			e.met.incRetry()
+			e.met.retries.Inc()
 			// Exponential backoff before re-attempting, bounded so a
 			// round never stalls behind a long sleep.
 			d := 10 * time.Millisecond << (attempt - 1)
@@ -109,7 +109,7 @@ func (e *Engine) stepRegion(ctx context.Context, rg *region) {
 			}
 			if rg.w != nil && rg.w != w {
 				rg.w.placed(-1)
-				e.met.incRedispatch()
+				e.met.redispatches.Inc()
 			}
 			rg.w, rg.session = w, sid
 		}
@@ -172,7 +172,7 @@ func (e *Engine) stepHedged(ctx context.Context, rg *region) (stepOutcome, error
 			if backup == nil {
 				continue
 			}
-			e.met.incHedge()
+			e.met.hedges.Inc()
 			pending++
 			go func() {
 				sid, err := e.placeRegion(ctx, backup, rg)
@@ -215,7 +215,7 @@ func (e *Engine) stepLocal(rg *region) {
 	rg.lastSelected = last.Selected
 	rg.lastOK = true
 	e.recordBest(rg, last.Best)
-	e.met.addLocalSteps(e.batch)
+	e.met.localSteps.Add(uint64(e.batch))
 }
 
 // accept commits a successful round: the region's new authoritative
@@ -226,7 +226,8 @@ func (e *Engine) accept(rg *region, out stepOutcome) {
 	rg.lastSelected = out.resp.Progress.Selected
 	rg.lastOK = true
 	e.recordBest(rg, out.resp.Progress.Best)
-	e.met.acceptRPC(out.wireSize)
+	e.met.rpcs.Inc()
+	e.met.snapshotBytes.Add(uint64(out.wireSize))
 }
 
 // recordBest updates the region's best-so-far makespan and its

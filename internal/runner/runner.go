@@ -30,14 +30,12 @@ type Contender struct {
 	Genes func() uint64
 }
 
-// Entry adapts any registered algorithm to a race Contender by driving
-// the resumable-search API directly: the contender Opens a Search, Steps
-// it until the race's wall-clock budget (or the context) expires, and
-// samples each iteration's best-so-far into its series. This is the
-// single adapter for every registry name — metaheuristics stream their
-// convergence, constructive heuristics contribute their one solution —
-// and because the search is externally driven, a race harness can also
-// pause or snapshot a contender mid-race through the same Search.
+// Entry adapts any registered algorithm to a race Contender: the
+// contender Opens a Search, drives it with scheduler.Drive under the
+// race's wall-clock budget (and the context), and samples each
+// iteration's best-so-far into its series. This is the single adapter for
+// every registry name — metaheuristics stream their convergence,
+// constructive heuristics contribute their one solution.
 func Entry(display, algorithm string, g *taskgraph.Graph, sys *platform.System, opts ...scheduler.Option) Contender {
 	var genes uint64
 	return Contender{
@@ -47,18 +45,16 @@ func Entry(display, algorithm string, g *taskgraph.Graph, sys *platform.System, 
 			if err != nil {
 				return 0, err
 			}
-			start := time.Now()
-			for time.Since(start) < budget && ctx.Err() == nil {
-				p, more := s.Step(ctx)
-				record(p.Elapsed, p.Best)
-				if !more {
-					break
-				}
-			}
-			if err := ctx.Err(); err != nil {
+			res, err := scheduler.Drive(ctx, s, scheduler.Budget{
+				TimeBudget: budget,
+				OnProgress: func(p scheduler.Progress) bool {
+					record(p.Elapsed, p.Best)
+					return true
+				},
+			})
+			if err != nil {
 				return 0, err
 			}
-			res := s.Best()
 			genes = res.GenesEvaluated
 			record(res.Elapsed, res.Makespan)
 			return res.Makespan, nil
@@ -74,6 +70,9 @@ func Entry(display, algorithm string, g *taskgraph.Graph, sys *platform.System, 
 // ctx aborts the race between (and, through Entry, within) contenders —
 // long races started by a server or a session can be torn down cleanly.
 func Race(ctx context.Context, budget time.Duration, contenders []Contender) ([]stats.Series, error) {
+	if budget <= 0 {
+		return nil, fmt.Errorf("runner: race budget %v, want > 0", budget)
+	}
 	out := make([]stats.Series, len(contenders))
 	for i, c := range contenders {
 		if err := ctx.Err(); err != nil {

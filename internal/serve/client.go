@@ -297,21 +297,6 @@ func (c *Client) ResumeSearch(ctx context.Context, id string, req SearchSnapshot
 	return out, err
 }
 
-// Evict serializes the session to a SessionSnapshot and tears it down.
-func (c *Client) Evict(ctx context.Context, id string) (SessionSnapshot, error) {
-	var out SessionSnapshot
-	err := c.post(ctx, "/v1/sessions/"+url.PathEscape(id)+"/evict", struct{}{}, &out)
-	return out, err
-}
-
-// Revive rebuilds a session from an evicted SessionSnapshot under a
-// fresh ID — in this server or a different one.
-func (c *Client) Revive(ctx context.Context, snap SessionSnapshot) (SessionInfo, error) {
-	var out SessionInfo
-	err := c.post(ctx, "/v1/sessions/revive", snap, &out)
-	return out, err
-}
-
 func (c *Client) get(ctx context.Context, path string, dst any) error {
 	ctx, cancel := c.reqContext(ctx)
 	defer cancel()

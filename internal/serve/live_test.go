@@ -3,9 +3,9 @@ package serve_test
 // Online amendment at the serving layer: POST /v1/sessions/{id}/events
 // feeds churn into a session. These tests cover the amendment itself,
 // warm-starting a pinned search across it, rejection of non-rebasable
-// searches, and — the durability composition — evict/revive and
-// store-spill round-trips of sessions whose workload was amended after
-// creation: the carried document must be the amended one.
+// searches, and — the durability composition — the store-spill
+// round-trip of a session whose workload was amended after creation: the
+// carried document must be the amended one.
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 // arrivalEvent is one task arriving with a dependency on task 0, priced
@@ -178,32 +179,46 @@ func TestApplyEventRejectsNonRebasableSearchAndBadEvents(t *testing.T) {
 
 // TestAmendedSessionEvictRevive: the evict/revive round-trip of an
 // amended session must carry the amended workload document, not the one
-// the session was created with.
+// the session was created with. Here a clean shutdown evicts the session
+// into the store and the restarted manager revives it on boot.
 func TestAmendedSessionEvictRevive(t *testing.T) {
-	client, _ := newTestServer(t, serve.Options{})
-	ctx := context.Background()
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := serve.NewManager(serve.Options{Store: st})
 
 	p := testParams(11)
-	info, err := client.CreateSession(ctx, serve.CreateSessionRequest{Params: &p})
+	info, err := mgr.Create(serve.CreateSessionRequest{Params: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.OpenSearch(ctx, info.ID, serve.RunRequest{Algorithm: "se-live", Seed: 4}); err != nil {
+	if _, err := mgr.OpenSearch(info.ID, serve.RunRequest{Algorithm: "se-live", Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.StepSearch(ctx, info.ID, serve.StepRequest{Steps: 6}); err != nil {
+	if _, err := mgr.StepSearch(info.ID, serve.StepRequest{Steps: 6}); err != nil {
 		t.Fatal(err)
 	}
-	amended, err := client.ApplyEvent(ctx, info.ID, arrivalEvent())
+	amended, err := mgr.ApplyEvent(info.ID, arrivalEvent())
 	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	snap, err := client.Evict(ctx, info.ID)
+	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	revived, err := client.Revive(ctx, snap)
+	mgr2 := serve.NewManager(serve.Options{Store: st2})
+	t.Cleanup(func() {
+		mgr2.Close()
+		st2.Close()
+	})
+	revived, err := mgr2.Info(info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,22 +229,27 @@ func TestAmendedSessionEvictRevive(t *testing.T) {
 		t.Fatalf("revived base makespan %v != amended %v", revived.BaseMakespan, amended.BaseMakespan)
 	}
 	// The revived search continues on the amended problem.
-	si, err := client.SearchInfo(ctx, revived.ID)
+	si, err := mgr2.SearchInfo(info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if si.Iterations != 6 {
 		t.Fatalf("revived search reports %d iterations, want 6", si.Iterations)
 	}
-	if _, err := client.StepSearch(ctx, revived.ID, serve.StepRequest{Steps: 3}); err != nil {
+	stepped, err := mgr2.StepSearch(info.ID, serve.StepRequest{Steps: 3})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if stepped.Performed != 3 {
+		t.Fatalf("revived search performed %d steps, want 3", stepped.Performed)
 	}
 }
 
 // TestAmendedSessionStoreSpillRevive: with a durable store, an amended
 // session spilled by LRU pressure revives — under its original id — with
-// the amended DAG, because every amendment re-encodes the session's
-// canonical workload document before persisting.
+// the amended DAG, its amended base and its rebased search, because every
+// amendment re-encodes the session's canonical workload document before
+// persisting.
 func TestAmendedSessionStoreSpillRevive(t *testing.T) {
 	client, _, _, _ := newDurableServer(t, 1)
 	ctx := context.Background()
@@ -240,6 +260,9 @@ func TestAmendedSessionStoreSpillRevive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := client.OpenSearch(ctx, a.ID, serve.RunRequest{Algorithm: "se-live", Seed: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.StepSearch(ctx, a.ID, serve.StepRequest{Steps: 6}); err != nil {
 		t.Fatal(err)
 	}
 	amended, err := client.ApplyEvent(ctx, a.ID, arrivalEvent())
@@ -261,6 +284,24 @@ func TestAmendedSessionStoreSpillRevive(t *testing.T) {
 	}
 	if revived.Tasks != amended.Tasks {
 		t.Fatalf("revived session has %d tasks, want the amended %d", revived.Tasks, amended.Tasks)
+	}
+	if revived.BaseMakespan != amended.BaseMakespan {
+		t.Fatalf("revived base makespan %v != amended %v", revived.BaseMakespan, amended.BaseMakespan)
+	}
+	// The revived search continues on the amended problem.
+	si, err := client.SearchInfo(ctx, a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si.Iterations != 6 {
+		t.Fatalf("revived search reports %d iterations, want 6", si.Iterations)
+	}
+	stepped, err := client.StepSearch(ctx, a.ID, serve.StepRequest{Steps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepped.Performed != 3 {
+		t.Fatalf("revived search performed %d steps, want 3", stepped.Performed)
 	}
 	// And it accepts further amendments right away (the lazily rebuilt
 	// problem state is derived from the amended document alone).

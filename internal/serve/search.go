@@ -12,11 +12,10 @@ import (
 // more requests (each is a fresh scheduling opportunity).
 const MaxStepsPerRequest = 10_000
 
-// searchOptions maps a request's tunables onto scheduler options — shared
-// by Run and OpenSearch so a served search is configured exactly like a
-// served one-shot run. The two observation options ride along on every
-// search: the session's Progress tap and the manager's registry (which
-// se-dist's coordinator exports its transport instruments into).
+// searchOptions maps a request's tunables onto scheduler options. The two
+// observation options ride along on every search: the session's Progress
+// tap and the manager's registry (which se-dist's coordinator exports its
+// transport instruments into).
 func (m *Manager) searchOptions(req RunRequest, s *Session) []scheduler.Option {
 	opts := []scheduler.Option{
 		scheduler.WithSeed(req.Seed),
@@ -39,6 +38,32 @@ func (m *Manager) searchOptions(req RunRequest, s *Session) []scheduler.Option {
 		opts = append(opts, scheduler.WithInitial(s.delta.Base().Clone()))
 	}
 	return opts
+}
+
+// openSearch builds req's search on the session's workload — shared by
+// Run and OpenSearch, so a one-shot run is configured exactly like a
+// pinned search. Unknown algorithms and invalid tunables are 400s.
+func (m *Manager) openSearch(s *Session, req RunRequest) (scheduler.Search, error) {
+	search, err := scheduler.Open(req.Algorithm, s.w.Graph, s.w.System, m.searchOptions(req, s)...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return search, nil
+}
+
+// adoptBest ends a request that searched: a result that improves on the
+// session's best is adopted and the evaluator re-pinned on it, so later
+// move queries and FromBase runs replay from its checkpoints; then the
+// session's status is published and persisted. Shared by Run and
+// StepSearch.
+func (m *Manager) adoptBest(s *Session, res *scheduler.Result) {
+	if res.Makespan < s.bestMs {
+		s.best = res.Best.Clone()
+		s.bestMs = res.Makespan
+		s.delta.Pin(s.best)
+	}
+	s.publishStatus()
+	m.persist(s)
 }
 
 // searchInfo snapshots the pinned search's status. Called on the worker.
@@ -66,12 +91,9 @@ func searchDone(s scheduler.Search) bool {
 func (m *Manager) OpenSearch(id string, req RunRequest) (SearchInfo, error) {
 	var out SearchInfo
 	err := m.do(id, func(s *Session) error {
-		if _, ok := scheduler.Describe(req.Algorithm); !ok {
-			return fmt.Errorf("%w: unknown algorithm %q (registered: %v)", ErrBadRequest, req.Algorithm, scheduler.Names())
-		}
-		search, err := scheduler.Open(req.Algorithm, s.w.Graph, s.w.System, m.searchOptions(req, s)...)
+		search, err := m.openSearch(s, req)
 		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return err
 		}
 		s.search = search
 		s.searchAlgo = req.Algorithm
@@ -144,15 +166,7 @@ func (m *Manager) StepSearch(id string, req StepRequest) (StepResponse, error) {
 			m.met.snapshotBytes.Add(uint64(len(data)))
 			out.Snapshot = &SearchSnapshot{Algorithm: s.searchAlgo, Seed: s.searchSeed, Snapshot: data}
 		}
-		if res.Makespan < s.bestMs {
-			// The search improved on the session's best: adopt and re-pin,
-			// exactly as a completed Run would.
-			s.best = res.Best.Clone()
-			s.bestMs = res.Makespan
-			s.delta.Pin(s.best)
-		}
-		s.publishStatus()
-		m.persist(s)
+		m.adoptBest(s, &res)
 		return nil
 	})
 	return out, err
@@ -220,67 +234,4 @@ func (m *Manager) ResumeSearch(id string, req SearchSnapshot) (SearchInfo, error
 		return nil
 	})
 	return out, err
-}
-
-// Evict serializes the session to a SessionSnapshot — workload document,
-// pinned base and best solutions, counters, and the live search if one is
-// pinned — and tears the session down. Revive rebuilds an equivalent
-// session, here or in another server process, with bit-identical
-// scheduling state. The caller must have quiesced its own traffic to the
-// session: requests racing the eviction fail with not-found once the
-// teardown lands.
-func (m *Manager) Evict(id string) (SessionSnapshot, error) {
-	var out SessionSnapshot
-	err := m.do(id, func(s *Session) error {
-		doc, err := s.workloadDoc()
-		if err != nil {
-			return err
-		}
-		s.statMu.Lock()
-		runs, commits := s.stat.runs, s.stat.commits
-		s.statMu.Unlock()
-		out = SessionSnapshot{
-			Workload: doc,
-			Base:     s.delta.Base().Format(),
-			Best:     s.best.Format(),
-			Runs:     runs,
-			Commits:  commits,
-		}
-		if s.search != nil {
-			data, err := s.search.Snapshot()
-			if err != nil {
-				return err
-			}
-			m.met.snapshotBytes.Add(uint64(len(data)))
-			out.Search = &SearchSnapshot{Algorithm: s.searchAlgo, Seed: s.searchSeed, Snapshot: data}
-		}
-		return nil
-	})
-	if err != nil {
-		return SessionSnapshot{}, err
-	}
-	if err := m.Delete(id); err != nil {
-		return SessionSnapshot{}, err
-	}
-	return out, nil
-}
-
-// Revive rebuilds a session from an evicted SessionSnapshot under a fresh
-// ID: the workload is decoded and validated like any untrusted upload,
-// the base string re-pinned, the best solution re-evaluated (makespans
-// are never trusted from the wire), and the search — if one was pinned —
-// restored to continue bit-identically.
-func (m *Manager) Revive(snapshot SessionSnapshot) (SessionInfo, error) {
-	w, base, err := sessionSource(CreateSessionRequest{
-		Workload: snapshot.Workload,
-		Initial:  snapshot.Base,
-	})
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	s, err := m.install("", w, base, &snapshot)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	return s.info(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/schedule"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -124,76 +123,6 @@ func TestSearchSnapshotResumeOverWire(t *testing.T) {
 	}
 }
 
-// TestEvictReviveBitIdentical is the acceptance contract for session
-// eviction: a session — pinned search included — evicted to bytes
-// mid-run and revived must finish with results bit-identical to both an
-// unbroken served session and the offline Step loop.
-func TestEvictReviveBitIdentical(t *testing.T) {
-	client, _ := newTestServer(t, serve.Options{})
-	ctx := context.Background()
-	const total, cut = 18, 8
-
-	// Unbroken served reference.
-	w, unbroken := makeSearchSession(t, client, 23)
-	if _, err := client.OpenSearch(ctx, unbroken.ID, serve.RunRequest{Algorithm: "tabu", Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.StepSearch(ctx, unbroken.ID, serve.StepRequest{Steps: total}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := client.SearchBest(ctx, unbroken.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted: step, evict to bytes, revive, finish.
-	_, victim := makeSearchSession(t, client, 23)
-	if _, err := client.OpenSearch(ctx, victim.ID, serve.RunRequest{Algorithm: "tabu", Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.StepSearch(ctx, victim.ID, serve.StepRequest{Steps: cut}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := client.Evict(ctx, victim.ID)
-	if err != nil {
-		t.Fatalf("Evict: %v", err)
-	}
-	if _, err := client.Session(ctx, victim.ID); err == nil {
-		t.Error("evicted session still answers")
-	}
-	if snap.Search == nil {
-		t.Fatal("SessionSnapshot lost the pinned search")
-	}
-
-	revived, err := client.Revive(ctx, snap)
-	if err != nil {
-		t.Fatalf("Revive: %v", err)
-	}
-	if _, err := client.StepSearch(ctx, revived.ID, serve.StepRequest{Steps: total - cut}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := client.SearchBest(ctx, revived.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan != want.Makespan || got.Solution != want.Solution {
-		t.Errorf("evict/revive diverged: %v vs unbroken %v", got.Makespan, want.Makespan)
-	}
-
-	// And both agree with the offline engine.
-	off, err := scheduler.Open("tabu", w.Graph, w.System, scheduler.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < total; i++ {
-		off.Step(ctx)
-	}
-	offBest := off.Best()
-	if want.Makespan != offBest.Makespan || want.Solution != offBest.Best.Format() {
-		t.Errorf("served diverged from offline: %v vs %v", want.Makespan, offBest.Makespan)
-	}
-}
-
 // TestSearchErrorPaths covers the 400-family behaviour of the search
 // endpoints.
 func TestSearchErrorPaths(t *testing.T) {
@@ -226,110 +155,5 @@ func TestSearchErrorPaths(t *testing.T) {
 	}
 	if !resp.Done || resp.Performed != 1 {
 		t.Errorf("constructive search: performed %d, done %v; want 1, true", resp.Performed, resp.Done)
-	}
-}
-
-// TestEvictReviveKeepsTiedBest: a committed move that leaves the makespan
-// unchanged moves the base off the best string while the two tie. An
-// evict/revive cycle must hand back the same best string, not the base's.
-func TestEvictReviveKeepsTiedBest(t *testing.T) {
-	mgr := serve.NewManager(serve.Options{})
-	defer mgr.Close()
-	p := testParams(31)
-	info, err := mgr.Create(serve.CreateSessionRequest{Params: &p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := mgr.Schedule(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Commit the first makespan-neutral move that changes the string.
-	committed := false
-	for idx := 0; idx < info.Tasks && !committed; idx++ {
-		for to := 0; to < info.Tasks && !committed; to++ {
-			for m := 0; m < info.Machines && !committed; m++ {
-				req := serve.MoveRequest{Index: idx, To: to, Machine: m}
-				probe, err := mgr.Move(info.ID, req)
-				if err != nil || probe.Makespan != sched.Makespan {
-					continue
-				}
-				req.Commit = true
-				if _, err := mgr.Move(info.ID, req); err != nil {
-					t.Fatal(err)
-				}
-				after, err := mgr.Schedule(info.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				committed = after.Solution != sched.Solution
-			}
-		}
-	}
-	if !committed {
-		t.Fatal("no makespan-neutral move changes the base — test premise broken")
-	}
-
-	first, err := mgr.Evict(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Best == first.Base {
-		t.Fatal("best tracked the tied base — test premise broken")
-	}
-	revived, err := mgr.Revive(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := mgr.Evict(revived.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Best != first.Best {
-		t.Errorf("evict/revive replaced the tied best %s with %s", first.Best, second.Best)
-	}
-}
-
-// TestReviveKeepsBestWorseThanBase: a live amendment splices the base and
-// the best independently, so a session's best can be longer than its
-// base. Revival must restore the stored best as is, not fall back to the
-// base, or a revived session diverges from a never-spilled one.
-func TestReviveKeepsBestWorseThanBase(t *testing.T) {
-	mgr := serve.NewManager(serve.Options{})
-	defer mgr.Close()
-	p := testParams(32)
-	w := workload.MustGenerate(p)
-	info, err := mgr.Create(serve.CreateSessionRequest{Params: &p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := mgr.Evict(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Everything on machine 0 in topological order: valid, and longer than
-	// the constructive base.
-	worse := make(schedule.String, 0, w.Graph.NumTasks())
-	for _, task := range w.Graph.TopoOrder() {
-		worse = append(worse, schedule.Gene{Task: task})
-	}
-	worseMs := schedule.NewEvaluator(w.Graph, w.System).Makespan(worse)
-	if worseMs <= info.BaseMakespan {
-		t.Fatalf("crafted best %v not worse than base %v — test premise broken", worseMs, info.BaseMakespan)
-	}
-	snap.Best = worse.Format()
-	revived, err := mgr.Revive(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if revived.BestMakespan != worseMs {
-		t.Errorf("revived best makespan %v, want the stored best's %v", revived.BestMakespan, worseMs)
-	}
-	again, err := mgr.Evict(revived.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Best != snap.Best {
-		t.Errorf("revival replaced the stored best %s with %s", snap.Best, again.Best)
 	}
 }

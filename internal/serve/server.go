@@ -66,8 +66,10 @@ const progressInterval = 100 * time.Millisecond
 //	GET    /v1/sessions/{id}/search/best      best-so-far Result
 //	GET    /v1/sessions/{id}/search/snapshot  serialize the search
 //	POST   /v1/sessions/{id}/search/resume    restore from a snapshot
-//	POST   /v1/sessions/{id}/evict            session → SessionSnapshot (destroys it)
-//	POST   /v1/sessions/revive                SessionSnapshot → fresh session
+//
+// Sessions park only through the durable store (see store.go): with one
+// configured, idle and LRU eviction spill a session and the next request
+// for it revives it transparently under the same id.
 //
 // Observability routes (see internal/obs): every request passes through
 // one metrics-and-access-log middleware labeled by matched route pattern,
@@ -104,8 +106,6 @@ func NewServer(m *Manager) *Server {
 	s.mux.HandleFunc("GET /v1/sessions/{id}/search/best", s.handleSearchBest)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/search/snapshot", s.handleSearchSnapshot)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/search/resume", s.handleSearchResume)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/evict", s.handleEvict)
-	s.mux.HandleFunc("POST /v1/sessions/revive", s.handleRevive)
 	s.mux.Handle("GET /metrics", m.Registry().Handler())
 	s.mux.Handle("GET /debug/vars", m.Registry().VarsHandler())
 	s.httpMet = obs.NewHTTPMetrics(m.Registry(), "serve")
@@ -184,28 +184,6 @@ func (s *Server) handleSearchResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.m.Evict(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *Server) handleRevive(w http.ResponseWriter, r *http.Request) {
-	var snap SessionSnapshot
-	if !decodeBody(w, r, &snap) {
-		return
-	}
-	info, err := s.m.Revive(snap)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
 }
 
 // ServeHTTP implements http.Handler.

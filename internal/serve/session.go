@@ -112,9 +112,9 @@ type Session struct {
 	created time.Time
 
 	// wdoc caches the session's workload encoded as its canonical
-	// document. It is encoded on first use (workloadDoc) — only the
-	// durable store and Evict read it — and dropped when an amendment
-	// replaces w. Worker goroutine only.
+	// document. It is encoded on first use (record) — only the durable
+	// store reads it — and dropped when an amendment replaces w. Worker
+	// goroutine only.
 	wdoc []byte
 
 	delta  *schedule.DeltaEvaluator
@@ -281,15 +281,15 @@ func sessionSource(req CreateSessionRequest) (*workload.Workload, schedule.Strin
 	return w, base, nil
 }
 
-// install builds a session for w pinned at base — with snapshot's state
-// (best solution, restored search, counters) merged in when non-nil —
+// install builds a session for w pinned at base — with rec's state (best
+// solution, restored search, counters) merged in when non-nil —
 // and only then registers it, so no request can reach a half-built
 // session. An empty id takes the next generated id; a non-empty id
 // revives a stored session under its original identity and fails with
 // errSessionExists when that id is already live (returning the live
 // session). At the session cap, the least-recently-used session is
 // spilled first.
-func (m *Manager) install(id string, w *workload.Workload, base schedule.String, snapshot *SessionSnapshot) (*Session, error) {
+func (m *Manager) install(id string, w *workload.Workload, base schedule.String, rec *sessionRecord) (*Session, error) {
 	now := m.opts.now()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Session{
@@ -306,8 +306,8 @@ func (m *Manager) install(id string, w *workload.Workload, base schedule.String,
 	}
 	s.bestMs, _ = s.delta.Pin(base)
 	s.observe = m.observer(s)
-	if snapshot != nil {
-		if err := s.adopt(*snapshot); err != nil {
+	if rec != nil {
+		if err := s.adopt(*rec); err != nil {
 			cancel()
 			return nil, err
 		}
@@ -317,9 +317,9 @@ func (m *Manager) install(id string, w *workload.Workload, base schedule.String,
 	// insert below: a losing duplicate revival queues nothing, and a racing
 	// Delete's removal always lands after it. An encoding failure leaves
 	// nothing to queue, as in persist.
-	var rec []byte
+	var first []byte
 	if m.store != nil {
-		rec, _ = s.record()
+		first, _ = s.record()
 	}
 
 	m.mu.Lock()
@@ -350,8 +350,8 @@ func (m *Manager) install(id string, w *workload.Workload, base schedule.String,
 	}
 	s.id = id
 	m.sessions[s.id] = s
-	if rec != nil {
-		m.store.Put(s.id, rec)
+	if first != nil {
+		m.store.Put(s.id, first)
 	}
 	m.mu.Unlock()
 	m.met.sessionsCreated.Inc()
@@ -471,6 +471,9 @@ func (m *Manager) do(id string, fn func(*Session) error) error {
 // session's worker goroutine). The run is bounded by req's budget, the
 // caller's ctx, and the session's own lifetime: tearing the session down
 // cancels the run, which still returns its best-so-far (marked Cancelled).
+// The run's search is built like OpenSearch's and driven by
+// scheduler.Drive, but it is not pinned: the session's pinned search, if
+// any, is left as it was.
 func (m *Manager) Run(ctx context.Context, id string, req RunRequest, onProgress func(ProgressEvent)) (Result, error) {
 	var out Result
 	err := m.do(id, func(s *Session) error {
@@ -482,9 +485,18 @@ func (m *Manager) Run(ctx context.Context, id string, req RunRequest, onProgress
 			req.MaxIterations <= 0 && req.TimeBudgetMS <= 0 && req.NoImprovement <= 0 {
 			return fmt.Errorf("%w: algorithm %q needs a stopping criterion (max_iterations, time_budget_ms or no_improvement)", ErrBadRequest, req.Algorithm)
 		}
-		sched, err := scheduler.Get(req.Algorithm, m.searchOptions(req, s)...)
+		// A run cancelled before its first iteration has no best-so-far.
+		// When the cancellation came from session teardown, report the
+		// teardown (409), not a bare context error (500).
+		if s.ctx.Err() != nil {
+			return fmt.Errorf("serve: session %q %w", s.id, ErrClosed)
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		search, err := m.openSearch(s, req)
 		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return err
 		}
 
 		// The run stops when the request's context is cancelled (client
@@ -506,31 +518,13 @@ func (m *Manager) Run(ctx context.Context, id string, req RunRequest, onProgress
 				return true
 			}
 		}
-		res, err := sched.Schedule(runCtx, s.w.Graph, s.w.System, b)
-		cancelled := err != nil
-		if res == nil {
-			// A run cancelled before its first iteration has no best-so-far.
-			// When the cancellation came from session teardown, report the
-			// teardown (409), not a bare context error (500).
-			if s.ctx.Err() != nil {
-				return fmt.Errorf("serve: session %q %w", s.id, ErrClosed)
-			}
-			return err
-		}
+		res, err := scheduler.Drive(runCtx, search, b)
 		s.statMu.Lock()
 		s.stat.runs++
 		s.statMu.Unlock()
 		m.met.runs.Inc()
-		if res.Makespan < s.bestMs {
-			// Re-pin the evaluator on the improved solution: subsequent
-			// move queries and FromBase runs replay from its checkpoints.
-			s.best = res.Best.Clone()
-			s.bestMs = res.Makespan
-			s.delta.Pin(s.best)
-		}
-		s.publishStatus()
-		m.persist(s)
-		out = NewResult(req.Algorithm, req.Seed, res, cancelled)
+		m.adoptBest(s, res)
+		out = NewResult(req.Algorithm, req.Seed, res, err != nil)
 		return nil
 	})
 	return out, err
@@ -691,11 +685,20 @@ func (m *Manager) Registry() *obs.Registry { return m.reg }
 // with a durable store — its stored record removed, so a deleted session
 // does not come back on the next boot replay. Deleting a session that
 // lives only in the store (spilled, not revived) succeeds too.
+//
+// The table removal, the cancellation and the store removal happen
+// together under m.mu, and persist writes only for a live session under
+// the same lock: a request still finishing on the worker can no longer
+// write the deleted session back.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
 	s, ok := m.sessions[id]
 	if ok {
 		delete(m.sessions, id)
+		s.cancel()
+		if m.store != nil {
+			m.store.Delete(id)
+		}
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -712,9 +715,6 @@ func (m *Manager) Delete(id string) error {
 		m.met.storedDown(id, "delete")
 		return nil
 	}
-	if m.store != nil {
-		m.store.Delete(id)
-	}
 	m.finish(s, "delete")
 	return nil
 }
@@ -723,48 +723,34 @@ func (m *Manager) Delete(id string) error {
 // durable store, when one is configured — and stops the eviction loop. The
 // Manager accepts no requests afterwards. The caller still owns closing
 // the store itself (which flushes the spilled writes).
-func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	m.sessions = map[string]*Session{}
-	m.mu.Unlock()
-	for _, s := range sessions {
-		m.spill(s, "close")
-	}
-	if m.evictStop != nil {
-		close(m.evictStop)
-		<-m.evictDone
-	}
-}
+func (m *Manager) Close() { m.shutdown(true) }
 
 // Crash tears every session down WITHOUT the spill pass — the kill(-9)
 // seam for crash-recovery tests: whatever the write-behind store had not
 // flushed is lost, exactly as if the process died. Production shutdown is
 // Close.
-func (m *Manager) Crash() {
+func (m *Manager) Crash() { m.shutdown(false) }
+
+// shutdown is Close (spill set) and Crash: it closes the manager, tears
+// every live session down — spilling each first when spill is set — and
+// stops the eviction loop.
+func (m *Manager) shutdown(spill bool) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
 	m.closed = true
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
+	sessions := m.sessions
 	m.sessions = map[string]*Session{}
 	m.mu.Unlock()
 	for _, s := range sessions {
-		s.cancel()
-		<-s.done
+		if spill {
+			m.spill(s, "close")
+		} else {
+			s.cancel()
+			<-s.done
+		}
 	}
 	if m.evictStop != nil {
 		close(m.evictStop)

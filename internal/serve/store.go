@@ -28,17 +28,29 @@ import (
 )
 
 // Session record format: the payload the Manager frames into store log
-// records. It is the binary twin of the wire SessionSnapshot, decoded
-// with the same hostile-input discipline — a store directory is as
-// untrusted as a client upload.
+// records, decoded with the same hostile-input discipline as a client
+// upload — a store directory is as untrusted as one.
 const (
 	sessionRecMagic   = "MSSR"
 	sessionRecVersion = 1
 )
 
-// workloadDoc returns the session's workload as its canonical document,
-// encoding it on first use. Worker goroutine only.
-func (s *Session) workloadDoc() ([]byte, error) {
+// sessionRecord is a decoded session record: everything needed to revive
+// the session — the workload document, the pinned base and best
+// solutions, the request counters, and the pinned search's snapshot when
+// one was live. Makespans are recomputed on revival rather than trusted.
+type sessionRecord struct {
+	Workload   []byte
+	Base, Best string
+	Runs       int
+	Commits    int
+	Search     *SearchSnapshot
+}
+
+// record encodes the session's durable state, encoding the workload
+// document on first use. Worker goroutine only — it reads the evaluator's
+// pinned base and snapshots the live search.
+func (s *Session) record() ([]byte, error) {
 	if s.wdoc == nil {
 		var buf bytes.Buffer
 		if err := workload.Encode(&buf, s.w); err != nil {
@@ -46,18 +58,8 @@ func (s *Session) workloadDoc() ([]byte, error) {
 		}
 		s.wdoc = buf.Bytes()
 	}
-	return s.wdoc, nil
-}
-
-// record encodes the session's durable state. Worker goroutine only —
-// it reads the evaluator's pinned base and snapshots the live search.
-func (s *Session) record() ([]byte, error) {
-	doc, err := s.workloadDoc()
-	if err != nil {
-		return nil, err
-	}
 	w := snap.Borrow(sessionRecMagic, sessionRecVersion)
-	w.Blob(doc)
+	w.Blob(s.wdoc)
 	w.Str(s.delta.Base().Format())
 	w.Str(s.best.Format())
 	s.statMu.Lock()
@@ -81,15 +83,14 @@ func (s *Session) record() ([]byte, error) {
 	return w.Detach(), nil
 }
 
-// decodeSessionRecord decodes a stored session record into the same
-// SessionSnapshot shape the evict/revive endpoints exchange, so revival
-// reuses their validation path. Corrupt bytes error, never panic.
-func decodeSessionRecord(data []byte) (SessionSnapshot, error) {
+// decodeSessionRecord decodes a stored session record. Corrupt bytes
+// error, never panic.
+func decodeSessionRecord(data []byte) (sessionRecord, error) {
 	r, err := snap.NewReader(data, sessionRecMagic, sessionRecVersion)
 	if err != nil {
-		return SessionSnapshot{}, err
+		return sessionRecord{}, err
 	}
-	var out SessionSnapshot
+	var out sessionRecord
 	out.Workload = r.Blob()
 	out.Base = r.Str()
 	out.Best = r.Str()
@@ -103,10 +104,10 @@ func decodeSessionRecord(data []byte) (SessionSnapshot, error) {
 		out.Search = search
 	}
 	if err := r.Done(); err != nil {
-		return SessionSnapshot{}, err
+		return sessionRecord{}, err
 	}
 	if out.Runs < 0 || out.Commits < 0 {
-		return SessionSnapshot{}, fmt.Errorf("negative counters (%d runs, %d commits)", out.Runs, out.Commits)
+		return sessionRecord{}, fmt.Errorf("negative counters (%d runs, %d commits)", out.Runs, out.Commits)
 	}
 	return out, nil
 }
@@ -114,7 +115,10 @@ func decodeSessionRecord(data []byte) (SessionSnapshot, error) {
 // persist enqueues the session's current state on the write-behind store.
 // Called on the session's worker goroutine at the end of every mutating
 // request; a no-op without a store. Encoding failures keep the session
-// serving — the store's last good record simply stands.
+// serving — the store's last good record simply stands. A session already
+// torn down writes nothing: checked under m.mu, where Delete cancels the
+// session and removes its record together, so a request finishing after
+// a Delete cannot bring the record back.
 func (m *Manager) persist(s *Session) {
 	if m.store == nil {
 		return
@@ -123,7 +127,11 @@ func (m *Manager) persist(s *Session) {
 	if err != nil {
 		return
 	}
-	m.store.Put(s.id, rec)
+	m.mu.Lock()
+	if s.ctx.Err() == nil {
+		m.store.Put(s.id, rec)
+	}
+	m.mu.Unlock()
 }
 
 // captureRecord runs record() on the session's worker goroutine from
@@ -209,29 +217,29 @@ func (m *Manager) recoverSessions() {
 // reviveFromStore rebuilds a session from its stored record under its
 // original id. The record crosses a trust boundary (a store directory can
 // be copied between hosts), so the workload, solutions and search
-// snapshot are validated exactly like a client-supplied revival. A lost
-// revival race returns the session the winner installed.
+// snapshot are validated exactly like a client upload. A lost revival
+// race returns the session the winner installed.
 func (m *Manager) reviveFromStore(id string) (*Session, error) {
 	rec, ok := m.store.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("serve: %w: %q", ErrNotFound, id)
 	}
-	snapshot, err := decodeSessionRecord(rec)
+	stored, err := decodeSessionRecord(rec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: stored session %q: %v", ErrBadRequest, id, err)
 	}
-	w, err := workload.Decode(bytes.NewReader(snapshot.Workload))
+	w, err := workload.Decode(bytes.NewReader(stored.Workload))
 	if err != nil {
 		return nil, fmt.Errorf("%w: stored session %q: workload: %v", ErrBadRequest, id, err)
 	}
-	base, err := schedule.Parse(snapshot.Base)
+	base, err := schedule.Parse(stored.Base)
 	if err == nil {
 		err = schedule.Validate(base, w.Graph, w.System)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: stored session %q: base solution: %v", ErrBadRequest, id, err)
 	}
-	s, err := m.install(id, w, base, &snapshot)
+	s, err := m.install(id, w, base, &stored)
 	if err == errSessionExists {
 		return s, nil
 	}
@@ -242,17 +250,16 @@ func (m *Manager) reviveFromStore(id string) (*Session, error) {
 	return s, nil
 }
 
-// adopt merges a SessionSnapshot's state — best solution, pinned search,
+// adopt merges a stored record's state — best solution, pinned search,
 // request counters — into a session install is still building, before
-// any request can reach it. Shared by client revival (Revive) and store
-// revival. The stored best is adopted as is (its makespan re-evaluated,
-// never trusted): it need not beat the base — a tie survives a committed
-// neutral move, and a live amendment splices base and best independently
-// — and a revived session must hold exactly the best a never-spilled one
-// holds.
-func (s *Session) adopt(snapshot SessionSnapshot) error {
-	if snapshot.Best != "" {
-		best, err := schedule.Parse(snapshot.Best)
+// any request can reach it. The stored best is adopted as is (its
+// makespan re-evaluated, never trusted): it need not beat the base — a
+// tie survives a committed neutral move, and a live amendment splices
+// base and best independently — and a revived session must hold exactly
+// the best a never-spilled one holds.
+func (s *Session) adopt(rec sessionRecord) error {
+	if rec.Best != "" {
+		best, err := schedule.Parse(rec.Best)
 		if err != nil {
 			return fmt.Errorf("%w: best solution: %v", ErrBadRequest, err)
 		}
@@ -262,18 +269,18 @@ func (s *Session) adopt(snapshot SessionSnapshot) error {
 		s.best = best
 		s.bestMs = schedule.NewEvaluator(s.w.Graph, s.w.System).Makespan(best)
 	}
-	if snapshot.Search != nil {
-		algo := snapshot.Search.Algorithm
-		search, err := scheduler.Restore(algo, snapshot.Search.Snapshot, s.w.Graph, s.w.System,
+	if rec.Search != nil {
+		algo := rec.Search.Algorithm
+		search, err := scheduler.Restore(algo, rec.Search.Snapshot, s.w.Graph, s.w.System,
 			scheduler.WithObserver(s.observe))
 		if err != nil {
 			return fmt.Errorf("%w: search: %v", ErrBadRequest, err)
 		}
 		s.search = search
 		s.searchAlgo = algo
-		s.searchSeed = snapshot.Search.Seed
+		s.searchSeed = rec.Search.Seed
 	}
-	s.stat.runs += snapshot.Runs
-	s.stat.commits += snapshot.Commits
+	s.stat.runs += rec.Runs
+	s.stat.commits += rec.Commits
 	return nil
 }

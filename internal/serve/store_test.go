@@ -301,3 +301,51 @@ func TestReviveRace(t *testing.T) {
 		t.Error("no request was served")
 	}
 }
+
+// TestDeleteDuringRunStaysDeleted: deleting a durable session while a run
+// is in flight removes it for good. The cancelled run still returns its
+// best-so-far, but it must not write the session's record back to the
+// store, or the next request would revive the deleted session.
+func TestDeleteDuringRunStaysDeleted(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mgr := serve.NewManager(serve.Options{Store: st})
+	defer mgr.Close()
+	info, err := mgr.Create(serve.CreateSessionRequest{Preset: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	started := make(chan struct{})
+	var once sync.Once
+	done := make(chan error, 1)
+	go func() {
+		_, err := mgr.Run(context.Background(), info.ID,
+			serve.RunRequest{Algorithm: "se", Seed: 1, TimeBudgetMS: 60_000},
+			func(serve.ProgressEvent) { once.Do(func() { close(started) }) })
+		done <- err
+	}()
+	select {
+	case <-started:
+	case err := <-done:
+		t.Fatalf("run ended before its first iteration: %v", err)
+	}
+	if err := mgr.Delete(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("cancelled run returned error %v, want its best-so-far", err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(info.ID); ok {
+		t.Error("the deleted session's record is back in the store")
+	}
+	if _, err := mgr.Info(info.ID); !errors.Is(err, serve.ErrNotFound) {
+		t.Errorf("Info after Delete: %v, want ErrNotFound", err)
+	}
+}

@@ -228,24 +228,6 @@ type SearchSnapshot struct {
 	Snapshot  []byte `json:"snapshot"`
 }
 
-// SessionSnapshot is a whole session evicted to bytes: everything needed
-// to revive it in this server or another — the workload document, the
-// pinned base and best solutions, the request counters, and the pinned
-// search's snapshot when one is live. Makespans are recomputed on revive
-// rather than trusted from the wire.
-type SessionSnapshot struct {
-	// Workload is the session's full workload document (workload.Encode).
-	Workload json.RawMessage `json:"workload"`
-	// Base is the pinned base solution; Best the best solution seen.
-	Base string `json:"base"`
-	Best string `json:"best"`
-	// Runs and Commits restore the session's request counters.
-	Runs    int `json:"runs"`
-	Commits int `json:"commits"`
-	// Search is the pinned resumable search, when one was live.
-	Search *SearchSnapshot `json:"search,omitempty"`
-}
-
 // MoveRequest evaluates — and optionally commits — one move against the
 // session's pinned base string: the gene at Index is moved to position To
 // (valid-range coordinates, see schedule.ValidRange) on Machine.
