@@ -209,7 +209,11 @@ func benchWorkload(tasks, machines int) *workload.Workload {
 // fails the benchmark on error.
 func benchSchedule(b *testing.B, name string, w *workload.Workload, budget scheduler.Budget, opts ...scheduler.Option) *scheduler.Result {
 	b.Helper()
-	res, err := scheduler.MustGet(name, opts...).Schedule(context.Background(), w.Graph, w.System, budget)
+	s, err := scheduler.Open(name, w.Graph, w.System, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := scheduler.Drive(context.Background(), s, budget)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,20 +375,13 @@ func BenchmarkShardedVsSerialAllocation(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var (
-					res *scheduler.Result
-					err error
-				)
+				budget := scheduler.Budget{MaxIterations: iters}
+				var res *scheduler.Result
 				if tc.shards == 0 {
-					res, err = scheduler.MustGet("se", scheduler.WithSeed(1), scheduler.WithY(4)).
-						Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{MaxIterations: iters})
+					res = benchSchedule(b, "se", w, budget, scheduler.WithSeed(1), scheduler.WithY(4))
 				} else {
-					res, err = scheduler.MustGet("se-shard", scheduler.WithSeed(1), scheduler.WithY(4),
-						scheduler.WithShards(tc.shards)).
-						Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{MaxIterations: iters})
-				}
-				if err != nil {
-					b.Fatal(err)
+					res = benchSchedule(b, "se-shard", w, budget, scheduler.WithSeed(1), scheduler.WithY(4),
+						scheduler.WithShards(tc.shards))
 				}
 				b.ReportMetric(res.Makespan, "makespan")
 			}

@@ -130,11 +130,11 @@ func runCell(names []string, tasks, machines int, conn, het, ccr float64, budget
 		if err != nil {
 			return 0, err
 		}
-		s, err := scheduler.Get(name, experiments.TunedOptions(name, machines, seed, 0, shards)...)
+		s, err := scheduler.Open(name, w.Graph, w.System, experiments.TunedOptions(name, machines, seed, 0, shards)...)
 		if err != nil {
 			return 0, err
 		}
-		res, err := s.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{TimeBudget: budget})
+		res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{TimeBudget: budget})
 		if err != nil {
 			return 0, err
 		}

@@ -189,21 +189,18 @@ func main() {
 	}
 
 	var results []serve.Result
-	switch {
-	case *snapshot != "" || *resume != "":
+	if *snapshot != "" || *resume != "" {
 		if *server != "" {
 			fatal(fmt.Errorf("-snapshot/-resume drive the search locally; use the /search endpoints for served sessions"))
 		}
 		if len(runs) != 1 {
 			fatal(fmt.Errorf("-snapshot/-resume need a single algorithm, not -algo all"))
 		}
-		var res serve.Result
-		res, err = runResumable(w, runs[0], *snapshot, *resume)
-		results = []serve.Result{res}
-	case *server != "":
+	}
+	if *server != "" {
 		results, err = runServed(*server, w, runs)
-	default:
-		results, err = runLocal(w, runs)
+	} else {
+		results, err = runLocal(w, runs, *snapshot, *resume)
 	}
 	if err != nil {
 		fatal(err)
@@ -319,89 +316,50 @@ func parseWorkers(s string) (int, []string, error) {
 	return 0, urls, nil
 }
 
-// schedOptions maps a run request's tunables onto scheduler options — the
-// in-process mirror of serve's searchOptions.
-func schedOptions(req serve.RunRequest) []scheduler.Option {
-	opts := []scheduler.Option{
-		scheduler.WithSeed(req.Seed),
-		scheduler.WithWorkers(req.Workers),
-		scheduler.WithBias(req.Bias),
-		scheduler.WithY(req.Y),
-		scheduler.WithPopulation(req.Population),
-		scheduler.WithShards(req.Shards),
-		scheduler.WithRoundBatch(req.RoundBatch),
+// runLocal executes every run in-process: each opens its search (or, with
+// resumePath, restores the snapshotted one), drives it to the request's
+// budget and, with snapPath, writes the paused search's snapshot. A
+// snapshotted-and-resumed run is bit-identical to an uninterrupted one.
+func runLocal(w *workload.Workload, runs []serve.RunRequest, snapPath, resumePath string) ([]serve.Result, error) {
+	var resume []byte
+	if resumePath != "" {
+		data, err := os.ReadFile(resumePath)
+		if err != nil {
+			return nil, err
+		}
+		resume = data
 	}
-	if len(req.WorkerURLs) > 0 {
-		opts = append(opts, scheduler.WithWorkerURLs(req.WorkerURLs...))
-	}
-	if req.FullEval {
-		opts = append(opts, scheduler.WithFullEval())
-	}
-	return opts
-}
-
-// runLocal executes every run in-process through the scheduler registry.
-func runLocal(w *workload.Workload, runs []serve.RunRequest) ([]serve.Result, error) {
 	var results []serve.Result
 	for _, req := range runs {
-		opts := schedOptions(req)
-		s, err := scheduler.Get(req.Algorithm, opts...)
+		var s scheduler.Search
+		var err error
+		if resume != nil {
+			if req.Algorithm, err = scheduler.SnapshotAlgorithm(resume); err != nil {
+				return nil, err
+			}
+			s, err = scheduler.Restore(req.Algorithm, resume, w.Graph, w.System)
+		} else {
+			s, err = scheduler.Open(req.Algorithm, w.Graph, w.System, req.Options()...)
+		}
 		if err != nil {
 			return nil, err
 		}
-		b := scheduler.Budget{
-			MaxIterations: req.MaxIterations,
-			TimeBudget:    time.Duration(req.TimeBudgetMS * float64(time.Millisecond)),
-		}
-		res, err := s.Schedule(context.Background(), w.Graph, w.System, b)
+		res, err := scheduler.Drive(context.Background(), s, req.Budget())
 		if err != nil {
 			return nil, err
+		}
+		if snapPath != "" {
+			data, err := s.Snapshot()
+			if err != nil {
+				return nil, err
+			}
+			if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+				return nil, err
+			}
 		}
 		results = append(results, serve.NewResult(req.Algorithm, req.Seed, res, false))
 	}
 	return results, nil
-}
-
-// runResumable opens (or, with resumePath, restores) one resumable
-// search, drives it to the request's budget with the scheduler's standard
-// Drive loop, and optionally snapshots the paused search to snapPath. A
-// snapshotted-and-resumed run is bit-identical to an uninterrupted one.
-func runResumable(w *workload.Workload, req serve.RunRequest, snapPath, resumePath string) (serve.Result, error) {
-	var s scheduler.Search
-	var err error
-	algo := req.Algorithm
-	if resumePath != "" {
-		data, rerr := os.ReadFile(resumePath)
-		if rerr != nil {
-			return serve.Result{}, rerr
-		}
-		if algo, err = scheduler.SnapshotAlgorithm(data); err != nil {
-			return serve.Result{}, err
-		}
-		s, err = scheduler.Restore(algo, data, w.Graph, w.System)
-	} else {
-		s, err = scheduler.Open(algo, w.Graph, w.System, schedOptions(req)...)
-	}
-	if err != nil {
-		return serve.Result{}, err
-	}
-	res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{
-		MaxIterations: req.MaxIterations,
-		TimeBudget:    time.Duration(req.TimeBudgetMS * float64(time.Millisecond)),
-	})
-	if err != nil {
-		return serve.Result{}, err
-	}
-	if snapPath != "" {
-		data, serr := s.Snapshot()
-		if serr != nil {
-			return serve.Result{}, serr
-		}
-		if serr := os.WriteFile(snapPath, data, 0o644); serr != nil {
-			return serve.Result{}, serr
-		}
-	}
-	return serve.NewResult(algo, req.Seed, res, false), nil
 }
 
 // runServed executes every run inside one session of an mshd daemon: the

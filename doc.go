@@ -12,8 +12,8 @@
 // baseline of Wang et al. (JPDC 1997), classic constructive heuristics
 // (HEFT, CPOP, Min-Min, Max-Min, Sufferage, MCT), simulated-annealing and
 // tabu-search extensions, and a figure-reproduction harness covering the
-// paper's entire evaluation section. All algorithms implement one common
-// Scheduler interface and are discovered through a name-keyed registry.
+// paper's entire evaluation section. All algorithms are resumable searches
+// opened through one name-keyed registry and run by one budget loop.
 // Beyond the paper, the repository scales the heuristic up: an
 // incremental evaluation engine answers candidate moves by checkpointed
 // suffix replay, a sharded runner partitions large DAGs into
@@ -44,7 +44,7 @@
 //	internal/heuristics  HEFT, CPOP, Min-Min, Max-Min, Sufferage, MCT, random
 //	internal/sa          simulated-annealing extension
 //	internal/tabu        tabu-search extension
-//	internal/scheduler   Scheduler interface, registry + resumable Search API
+//	internal/scheduler   registry, resumable Search API + the Drive budget loop
 //	internal/snap        versioned binary snapshot codec + CRC record framing
 //	internal/store       durable write-behind session store (crash recovery)
 //	internal/xrand       draw-counting, restorable random source

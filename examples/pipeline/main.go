@@ -124,11 +124,11 @@ func main() {
 		if name == "se" || name == "se-ils" {
 			opts = append(opts, scheduler.WithBias(-0.2))
 		}
-		s, err := scheduler.Get(name, opts...)
+		s, err := scheduler.Open(name, g, sys, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := s.Schedule(context.Background(), g, sys, scheduler.Budget{MaxIterations: 400})
+		res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{MaxIterations: 400})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -56,12 +56,11 @@ func main() {
 		for _, y := range yValues {
 			var totalNanos atomic.Int64 // trials run concurrently
 			sum, _, err := runner.Trials(trials, 2, 1, func(seed int64) (float64, error) {
-				s, err := scheduler.Get("se", scheduler.WithY(y), scheduler.WithSeed(seed))
+				s, err := scheduler.Open("se", w.Graph, w.System, scheduler.WithY(y), scheduler.WithSeed(seed))
 				if err != nil {
 					return 0, err
 				}
-				res, err := s.Schedule(context.Background(), w.Graph, w.System,
-					scheduler.Budget{MaxIterations: iters})
+				res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{MaxIterations: iters})
 				if err != nil {
 					return 0, err
 				}

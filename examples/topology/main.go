@@ -64,15 +64,14 @@ func main() {
 
 		// Both algorithms come from the scheduler registry.
 		for _, algo := range []string{"heft", "se"} {
-			s, err := scheduler.Get(algo,
+			s, err := scheduler.Open(algo, w.Graph, w.System,
 				scheduler.WithSeed(1),
 				scheduler.WithY(machines/2),
 			)
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := s.Schedule(context.Background(), w.Graph, w.System,
-				scheduler.Budget{MaxIterations: 300})
+			res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{MaxIterations: 300})
 			if err != nil {
 				log.Fatal(err)
 			}

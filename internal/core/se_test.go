@@ -151,15 +151,21 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 
 func TestTraceRecording(t *testing.T) {
 	w := smallWorkload()
-	res, err := scheduler.MustGet("se", scheduler.WithSeed(1), scheduler.WithTrace()).
-		Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{MaxIterations: 25})
+	s, err := scheduler.Open("se", w.Graph, w.System, scheduler.WithSeed(1))
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	if len(res.Trace) != 25 {
-		t.Fatalf("Trace length = %d, want 25", len(res.Trace))
+	var trace []scheduler.Progress
+	if _, err := scheduler.Drive(context.Background(), s, scheduler.Budget{
+		MaxIterations: 25,
+		OnProgress:    func(p scheduler.Progress) bool { trace = append(trace, p); return true },
+	}); err != nil {
+		t.Fatalf("Drive: %v", err)
 	}
-	for i, st := range res.Trace {
+	if len(trace) != 25 {
+		t.Fatalf("Trace length = %d, want 25", len(trace))
+	}
+	for i, st := range trace {
 		if st.Iteration != i {
 			t.Errorf("Trace[%d].Iteration = %d", i, st.Iteration)
 		}
@@ -171,8 +177,8 @@ func TestTraceRecording(t *testing.T) {
 		}
 	}
 	// Best-so-far must be monotone non-increasing.
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].Best > res.Trace[i-1].Best+1e-9 {
+	for i := 1; i < len(trace); i++ {
+		if trace[i].Best > trace[i-1].Best+1e-9 {
 			t.Errorf("best-so-far increased at iteration %d", i)
 		}
 	}
@@ -266,7 +272,10 @@ func TestOptionErrors(t *testing.T) {
 		want string
 	}{
 		{"no stop", func() error {
-			_, err := scheduler.MustGet("se").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+			s, err := scheduler.Open("se", w.Graph, w.System)
+			if err == nil {
+				_, err = scheduler.Drive(context.Background(), s, scheduler.Budget{})
+			}
 			return err
 		}, "stopping criterion"},
 		{"negative Y", func() error {

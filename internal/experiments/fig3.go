@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/scheduler"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Fig3 reproduces Figures 3a and 3b (§5.1, effectiveness of SE): one SE run
@@ -18,29 +19,16 @@ import (
 // their best-matching segments.
 func Fig3(cfg Config) (fig3a, fig3b Figure, err error) {
 	w := highConnectivityWorkload(cfg)
-	se, err := scheduler.Get("se",
-		scheduler.WithBias(0),
-		scheduler.WithY(0), // all machines: the figure is about selection dynamics
-		scheduler.WithSeed(cfg.Seed),
-		scheduler.WithWorkers(cfg.Workers),
-		scheduler.WithTrace(),
-	)
-	if err != nil {
-		return Figure{}, Figure{}, err
-	}
-	res, err := se.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{
-		MaxIterations: cfg.Iterations,
-	})
-	if err != nil {
-		return Figure{}, Figure{}, err
-	}
-
 	var selected, current stats.Series
 	selected.Name = "selected subtasks"
 	current.Name = "current schedule length"
-	for _, p := range res.Trace {
+	// Y = 0, all machines: the figure is about selection dynamics.
+	res, err := traceSE(cfg, w, 0, func(p scheduler.Progress) {
 		selected.Add(float64(p.Iteration), float64(p.Selected))
 		current.Add(float64(p.Iteration), p.Current)
+	})
+	if err != nil {
+		return Figure{}, Figure{}, err
 	}
 
 	earlySel := headMean(selected, 0.1)
@@ -78,6 +66,28 @@ func Fig3(cfg Config) (fig3a, fig3b Figure, err error) {
 		},
 	}
 	return fig3a, fig3b, nil
+}
+
+// traceSE runs SE at bias 0 with candidate-machine count y for
+// cfg.Iterations generations, handing every generation's observation to
+// observe — the per-iteration series Figures 3 and 4 plot.
+func traceSE(cfg Config, w *workload.Workload, y int, observe func(scheduler.Progress)) (*scheduler.Result, error) {
+	if cfg.Iterations <= 0 {
+		return nil, fmt.Errorf("experiments: Iterations = %d, want > 0", cfg.Iterations)
+	}
+	se, err := scheduler.Open("se", w.Graph, w.System,
+		scheduler.WithBias(0),
+		scheduler.WithY(y),
+		scheduler.WithSeed(cfg.Seed),
+		scheduler.WithWorkers(cfg.Workers),
+	)
+	if err != nil {
+		return nil, err
+	}
+	return scheduler.Drive(context.Background(), se, scheduler.Budget{
+		MaxIterations: cfg.Iterations,
+		OnProgress:    func(p scheduler.Progress) bool { observe(p); return true },
+	})
 }
 
 // headMean averages the first frac of a series' points.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -60,25 +59,13 @@ func fig4(cfg Config, id string, het float64, hetName string) (Figure, error) {
 	}
 	finals := make([]float64, len(ys))
 	for i, y := range ys {
-		se, err := scheduler.Get("se",
-			scheduler.WithBias(0),
-			scheduler.WithY(y),
-			scheduler.WithSeed(cfg.Seed), // same seed: identical initial solution per Y
-			scheduler.WithWorkers(cfg.Workers),
-			scheduler.WithTrace(),
-		)
-		if err != nil {
-			return Figure{}, err
-		}
-		res, err := se.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{
-			MaxIterations: cfg.Iterations,
+		s := stats.Series{Name: fmt.Sprintf("Y = %d", y)}
+		// Same seed for every Y: identical initial solution per Y.
+		res, err := traceSE(cfg, w, y, func(p scheduler.Progress) {
+			s.Add(float64(p.Iteration), p.Best)
 		})
 		if err != nil {
 			return Figure{}, err
-		}
-		s := stats.Series{Name: fmt.Sprintf("Y = %d", y)}
-		for _, p := range res.Trace {
-			s.Add(float64(p.Iteration), p.Best)
 		}
 		fig.Series = append(fig.Series, s)
 		finals[i] = res.Makespan

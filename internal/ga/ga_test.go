@@ -179,7 +179,10 @@ func TestOptionErrors(t *testing.T) {
 		want string
 	}{
 		{"no stop", func() error {
-			_, err := scheduler.MustGet("ga").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+			s, err := scheduler.Open("ga", w.Graph, w.System)
+			if err == nil {
+				_, err = scheduler.Drive(context.Background(), s, scheduler.Budget{})
+			}
 			return err
 		}, "stopping criterion"},
 		{"tiny population", engine(ga.Options{PopulationSize: 1}), "PopulationSize"},

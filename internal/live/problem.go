@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/platform"
 	"repro/internal/schedule"
@@ -130,9 +131,21 @@ type Splice func(schedule.String) schedule.String
 func identity(s schedule.String) schedule.String { return s.Clone() }
 
 // Apply amends the problem by ev and returns the splice that carries
-// pre-amendment solution strings over. Validation happens before any
-// mutation, so a returned error leaves the problem unchanged.
+// pre-amendment solution strings over. The amendment is built on a copy
+// of the model and committed only once the amended problem rebuilds, so a
+// returned error leaves the problem unchanged.
 func (p *Problem) Apply(ev Event) (Splice, error) {
+	next := p.clone()
+	splice, err := next.apply(ev)
+	if err != nil {
+		return nil, err
+	}
+	*p = *next
+	return splice, nil
+}
+
+// apply amends p in place; Apply runs it on a clone.
+func (p *Problem) apply(ev Event) (Splice, error) {
 	switch ev.Kind {
 	case KindTaskArrival:
 		return p.applyArrival(ev)
@@ -145,6 +158,29 @@ func (p *Problem) Apply(ev Event) (Splice, error) {
 	default:
 		return nil, fmt.Errorf("live: apply: unknown event kind %q", ev.Kind)
 	}
+}
+
+// clone deep-copies the problem's raw model; the derived Graph/System/
+// Workload triple is immutable and shared.
+func (p *Problem) clone() *Problem {
+	c := *p
+	c.names = slices.Clone(p.names)
+	c.items = slices.Clone(p.items)
+	c.exec = cloneRows(p.exec)
+	c.tr = cloneRows(p.tr)
+	c.coeff = slices.Clone(p.coeff)
+	return &c
+}
+
+func cloneRows(m [][]float64) [][]float64 {
+	if m == nil {
+		return nil
+	}
+	out := make([][]float64, len(m))
+	for i, row := range m {
+		out[i] = slices.Clone(row)
+	}
+	return out
 }
 
 func (p *Problem) applyArrival(ev Event) (Splice, error) {
@@ -318,8 +354,9 @@ func (p *Problem) applySpeed(ev Event) (Splice, error) {
 }
 
 // rebuild rederives the immutable Graph/System/Workload triple from the
-// raw model. Inputs are validated by Apply before mutation, so an error
-// here means the amendment logic itself is broken.
+// raw model. Apply validates each event's own fields first; what only the
+// amended whole can show — costs that overflow to infinity or underflow
+// to zero — surfaces here, from platform.New.
 func (p *Problem) rebuild() error {
 	b := taskgraph.NewBuilder(len(p.names))
 	for _, name := range p.names {

@@ -28,7 +28,8 @@ type Options struct {
 	// Seed seeds the search (and each cold restart).
 	Seed int64
 	// StepsPerTick is the number of search iterations interleaved
-	// between ticks; zero selects DefaultStepsPerTick.
+	// between ticks; zero selects DefaultStepsPerTick, and a negative
+	// count is an error.
 	StepsPerTick int
 	// TailTicks extends the replay past the last event; zero selects
 	// DefaultTailTicks, negative means none.
@@ -110,6 +111,9 @@ type Report struct {
 // problem. Replays are deterministic: equal (trace, Options) produce
 // bit-identical Reports.
 func Replay(ctx context.Context, tr *Trace, opts Options) (*Report, error) {
+	if opts.StepsPerTick < 0 {
+		return nil, fmt.Errorf("live: StepsPerTick = %d, want >= 0", opts.StepsPerTick)
+	}
 	opts = opts.withDefaults()
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -173,12 +177,10 @@ func Replay(ctx context.Context, tr *Trace, opts Options) (*Report, error) {
 			rep.Segments = append(rep.Segments, len(rep.Samples))
 			opts.Metrics.Amended(ev, time.Since(start))
 		}
-		for i := 0; i < opts.StepsPerTick; i++ {
-			if _, more := s.Step(ctx); !more {
-				break
-			}
+		b, err := scheduler.Drive(ctx, s, scheduler.Budget{MaxIterations: opts.StepsPerTick})
+		if err != nil {
+			return nil, err
 		}
-		b := s.Best()
 		sample := Sample{
 			Tick:        tick,
 			Tasks:       p.Graph().NumTasks(),

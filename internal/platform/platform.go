@@ -9,6 +9,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/taskgraph"
@@ -37,6 +38,11 @@ type System struct {
 // transfer matrix transfer[pair][item]. Pair rows follow PairIndex ordering:
 // (0,1), (0,2), …, (0,l−1), (1,2), …. transfer may be nil when the graph has
 // no data items.
+//
+// Every entry must be finite, and so must the worst case any evaluator can
+// reach: numTasks × (Σ_t max_m exec + Σ_d max_pair transfer) bounds the sum
+// of all finish times, so every makespan and total computed on the System
+// is finite too.
 func New(numTasks, numItems int, exec [][]float64, transfer [][]float64) (*System, error) {
 	l := len(exec)
 	if l == 0 {
@@ -45,17 +51,20 @@ func New(numTasks, numItems int, exec [][]float64, transfer [][]float64) (*Syste
 	if numTasks <= 0 {
 		return nil, fmt.Errorf("platform: numTasks = %d", numTasks)
 	}
+	maxExec := make([]float64, numTasks)
 	for m, row := range exec {
 		if len(row) != numTasks {
 			return nil, fmt.Errorf("platform: exec row %d has %d entries, want %d", m, len(row), numTasks)
 		}
 		for t, v := range row {
-			if v <= 0 {
-				return nil, fmt.Errorf("platform: exec[%d][%d] = %v, want > 0", m, t, v)
+			if !(v > 0 && v <= math.MaxFloat64) {
+				return nil, fmt.Errorf("platform: exec[%d][%d] = %v, want > 0 and finite", m, t, v)
 			}
+			maxExec[t] = max(maxExec[t], v)
 		}
 	}
 	pairs := l * (l - 1) / 2
+	maxTransfer := make([]float64, numItems)
 	if numItems > 0 {
 		if len(transfer) != pairs {
 			return nil, fmt.Errorf("platform: transfer has %d rows, want %d machine pairs", len(transfer), pairs)
@@ -65,11 +74,19 @@ func New(numTasks, numItems int, exec [][]float64, transfer [][]float64) (*Syste
 				return nil, fmt.Errorf("platform: transfer row %d has %d entries, want %d", p, len(row), numItems)
 			}
 			for d, v := range row {
-				if v < 0 {
-					return nil, fmt.Errorf("platform: transfer[%d][%d] = %v, want >= 0", p, d, v)
+				if !(v >= 0 && v <= math.MaxFloat64) {
+					return nil, fmt.Errorf("platform: transfer[%d][%d] = %v, want >= 0 and finite", p, d, v)
 				}
+				maxTransfer[d] = max(maxTransfer[d], v)
 			}
 		}
+	}
+	worst := 0.0
+	for _, v := range append(maxExec, maxTransfer...) {
+		worst += v
+	}
+	if math.IsInf(float64(numTasks)*worst, 0) {
+		return nil, fmt.Errorf("platform: costs too large: a schedule's finish times could sum past the float64 range")
 	}
 	s := &System{
 		machines: l,

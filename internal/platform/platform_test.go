@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -231,6 +232,12 @@ func TestNewErrors(t *testing.T) {
 		{"missing transfer rows", 1, 1, [][]float64{{1}, {1}}, nil, "transfer has"},
 		{"ragged transfer", 1, 2, [][]float64{{1}, {1}}, [][]float64{{1}}, "transfer row"},
 		{"negative transfer", 1, 1, [][]float64{{1}, {1}}, [][]float64{{-1}}, "want >= 0"},
+		{"NaN exec", 1, 0, [][]float64{{math.NaN()}}, nil, "finite"},
+		{"infinite exec", 1, 0, [][]float64{{math.Inf(1)}}, nil, "finite"},
+		{"NaN transfer", 1, 1, [][]float64{{1}, {1}}, [][]float64{{math.NaN()}}, "finite"},
+		{"infinite transfer", 1, 1, [][]float64{{1}, {1}}, [][]float64{{math.Inf(1)}}, "finite"},
+		{"overflowing finish times", 2, 0, [][]float64{{1e308, 1e308}}, nil, "float64 range"},
+		{"overflowing total", 3, 0, [][]float64{{1e308, 1, 1}}, nil, "float64 range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -137,11 +137,11 @@ func TestTrialsRejectsZeroRuns(t *testing.T) {
 func TestTrialsWithRegisteredScheduler(t *testing.T) {
 	w := raceWorkload()
 	sum, _, err := runner.Trials(4, 2, 1, func(seed int64) (float64, error) {
-		s, err := scheduler.Get("se", scheduler.WithSeed(seed))
+		s, err := scheduler.Open("se", w.Graph, w.System, scheduler.WithSeed(seed))
 		if err != nil {
 			return 0, err
 		}
-		res, err := s.Schedule(t.Context(), w.Graph, w.System, scheduler.Budget{MaxIterations: 30})
+		res, err := scheduler.Drive(t.Context(), s, scheduler.Budget{MaxIterations: 30})
 		if err != nil {
 			return 0, err
 		}

@@ -3,8 +3,7 @@ package schedule
 import "time"
 
 // Progress is one search iteration's observation — the value every engine
-// Step returns, delivered to scheduler.Budget.OnProgress and collected into
-// Result.Trace when tracing is enabled.
+// Step returns, delivered to scheduler.Budget.OnProgress.
 type Progress struct {
 	// Iteration numbers iterations from 0.
 	Iteration int
@@ -24,7 +23,7 @@ type Progress struct {
 }
 
 // Result is the uniform outcome of a search: what every engine's Result
-// returns and what scheduler.Schedule and Search.Best report.
+// returns and what scheduler.Drive and Search.Best report.
 type Result struct {
 	// Best is the best matching+scheduling string found.
 	Best String
@@ -50,9 +49,6 @@ type Result struct {
 	GenesEvaluated uint64
 	// Elapsed is the total wall-clock duration of the run.
 	Elapsed time.Duration
-	// Trace holds per-iteration observations when the run was traced
-	// (scheduler.WithTrace).
-	Trace []Progress
 }
 
 // NewResult assembles a Result from a best string, its makespan, an

@@ -17,14 +17,25 @@ func conformanceWorkload() *workload.Workload {
 	})
 }
 
-// TestConformance runs every registered scheduler through the contract the
-// interface promises: a valid best string whose makespan matches the
+// openDrive opens name on w with opts and drives it to b under ctx: the
+// one-shot run, as every caller outside the tests spells it.
+func openDrive(ctx context.Context, name string, w *workload.Workload, b scheduler.Budget, opts ...scheduler.Option) (*scheduler.Result, error) {
+	s, err := scheduler.Open(name, w.Graph, w.System, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return scheduler.Drive(ctx, s, b)
+}
+
+// TestConformance runs every registered scheduler through the contract
+// Open and Drive promise: a valid best string whose makespan matches the
 // shared evaluator and respects the lower bound, determinism under a fixed
-// seed, iteration/time budgets respected, OnProgress stopping the run, and
-// context cancellation surfacing ctx.Err(). Schedule is a Budget loop
-// over the resumable Search API (one Budget iteration = one Search.Step),
-// so this suite is also the conformance bar for every engine behind Open;
-// the snapshot/restore half of that contract lives in resume_test.go.
+// seed, iteration/time budgets respected, OnProgress stopping the run,
+// context cancellation surfacing ctx.Err(), and unbounded metaheuristic
+// runs rejected before they step. One Budget iteration is one
+// Search.Step, so this suite is the conformance bar for every engine
+// behind Open; the snapshot/restore half of that contract lives in
+// resume_test.go.
 func TestConformance(t *testing.T) {
 	w := conformanceWorkload()
 	lb := schedule.LowerBound(w.Graph, w.System)
@@ -36,11 +47,10 @@ func TestConformance(t *testing.T) {
 			}
 
 			t.Run("result-sanity", func(t *testing.T) {
-				s := scheduler.MustGet(name, scheduler.WithSeed(1))
-				res, err := s.Schedule(context.Background(), w.Graph, w.System,
-					scheduler.Budget{MaxIterations: 10})
+				res, err := openDrive(context.Background(), name, w,
+					scheduler.Budget{MaxIterations: 10}, scheduler.WithSeed(1))
 				if err != nil {
-					t.Fatalf("Schedule: %v", err)
+					t.Fatalf("Drive: %v", err)
 				}
 				if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
 					t.Fatalf("Best is not a valid solution: %v", err)
@@ -62,11 +72,10 @@ func TestConformance(t *testing.T) {
 
 			t.Run("deterministic", func(t *testing.T) {
 				run := func() *scheduler.Result {
-					s := scheduler.MustGet(name, scheduler.WithSeed(7))
-					res, err := s.Schedule(context.Background(), w.Graph, w.System,
-						scheduler.Budget{MaxIterations: 12})
+					res, err := openDrive(context.Background(), name, w,
+						scheduler.Budget{MaxIterations: 12}, scheduler.WithSeed(7))
 					if err != nil {
-						t.Fatalf("Schedule: %v", err)
+						t.Fatalf("Drive: %v", err)
 					}
 					return res
 				}
@@ -85,12 +94,11 @@ func TestConformance(t *testing.T) {
 			})
 
 			t.Run("max-iterations-respected", func(t *testing.T) {
-				s := scheduler.MustGet(name, scheduler.WithSeed(1))
 				const limit = 5
-				res, err := s.Schedule(context.Background(), w.Graph, w.System,
-					scheduler.Budget{MaxIterations: limit})
+				res, err := openDrive(context.Background(), name, w,
+					scheduler.Budget{MaxIterations: limit}, scheduler.WithSeed(1))
 				if err != nil {
-					t.Fatalf("Schedule: %v", err)
+					t.Fatalf("Drive: %v", err)
 				}
 				if res.Iterations > limit {
 					t.Errorf("Iterations = %d, want <= %d", res.Iterations, limit)
@@ -98,12 +106,11 @@ func TestConformance(t *testing.T) {
 			})
 
 			t.Run("time-budget-respected", func(t *testing.T) {
-				s := scheduler.MustGet(name, scheduler.WithSeed(1))
 				budget := 50 * time.Millisecond
 				start := time.Now()
-				if _, err := s.Schedule(context.Background(), w.Graph, w.System,
-					scheduler.Budget{TimeBudget: budget}); err != nil {
-					t.Fatalf("Schedule: %v", err)
+				if _, err := openDrive(context.Background(), name, w,
+					scheduler.Budget{TimeBudget: budget}, scheduler.WithSeed(1)); err != nil {
+					t.Fatalf("Drive: %v", err)
 				}
 				// Generous slack: the run stops at an iteration boundary.
 				if elapsed := time.Since(start); elapsed > budget+2*time.Second {
@@ -112,9 +119,8 @@ func TestConformance(t *testing.T) {
 			})
 
 			t.Run("trace-and-progress", func(t *testing.T) {
-				s := scheduler.MustGet(name, scheduler.WithSeed(1), scheduler.WithTrace())
-				var calls int
-				res, err := s.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{
+				var calls, taps int
+				res, err := openDrive(context.Background(), name, w, scheduler.Budget{
 					MaxIterations: 6,
 					OnProgress: func(p scheduler.Progress) bool {
 						calls++
@@ -123,25 +129,25 @@ func TestConformance(t *testing.T) {
 						}
 						return true
 					},
-				})
+				}, scheduler.WithSeed(1), scheduler.WithObserver(func(scheduler.Progress) { taps++ }))
 				if err != nil {
-					t.Fatalf("Schedule: %v", err)
+					t.Fatalf("Drive: %v", err)
 				}
 				if calls == 0 {
 					t.Error("OnProgress never called")
 				}
-				if len(res.Trace) != calls {
-					t.Errorf("Trace has %d entries, OnProgress saw %d", len(res.Trace), calls)
+				if calls != taps || calls != res.Iterations {
+					t.Errorf("OnProgress saw %d iterations, the observer %d, Result reports %d",
+						calls, taps, res.Iterations)
 				}
 			})
 
 			t.Run("cancelled-context", func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
-				s := scheduler.MustGet(name, scheduler.WithSeed(1))
-				if _, err := s.Schedule(ctx, w.Graph, w.System,
-					scheduler.Budget{MaxIterations: 5}); err != context.Canceled {
-					t.Errorf("Schedule on cancelled ctx = %v, want context.Canceled", err)
+				if _, err := openDrive(ctx, name, w,
+					scheduler.Budget{MaxIterations: 5}, scheduler.WithSeed(1)); err != context.Canceled {
+					t.Errorf("Drive on cancelled ctx = %v, want context.Canceled", err)
 				}
 			})
 
@@ -153,21 +159,24 @@ func TestConformance(t *testing.T) {
 				// unchanged over the final noImprove iterations.
 				t.Run("no-improvement-stops-run", func(t *testing.T) {
 					const noImprove, limit = 5, 20000
-					s := scheduler.MustGet(name, scheduler.WithSeed(1), scheduler.WithTrace())
-					res, err := s.Schedule(context.Background(), w.Graph, w.System,
-						scheduler.Budget{NoImprovement: noImprove, MaxIterations: limit})
+					var trace []scheduler.Progress
+					res, err := openDrive(context.Background(), name, w, scheduler.Budget{
+						NoImprovement: noImprove,
+						MaxIterations: limit,
+						OnProgress:    func(p scheduler.Progress) bool { trace = append(trace, p); return true },
+					}, scheduler.WithSeed(1))
 					if err != nil {
-						t.Fatalf("Schedule: %v", err)
+						t.Fatalf("Drive: %v", err)
 					}
 					if res.Iterations >= limit {
 						t.Fatalf("NoImprovement %d did not stop the run before %d iterations", noImprove, limit)
 					}
-					n := len(res.Trace)
+					n := len(trace)
 					if n < noImprove {
 						t.Fatalf("run stalled after %d iterations, before %d could pass", n, noImprove)
 					}
-					before := res.Trace[max(0, n-noImprove-1)].Best
-					for _, p := range res.Trace[n-noImprove:] {
+					before := trace[max(0, n-noImprove-1)].Best
+					for _, p := range trace[n-noImprove:] {
 						if p.Best != before {
 							t.Fatalf("best improved within the final %d iterations: %v → %v (iteration %d)",
 								noImprove, before, p.Best, p.Iteration)
@@ -176,16 +185,41 @@ func TestConformance(t *testing.T) {
 				})
 
 				t.Run("on-progress-stops-run", func(t *testing.T) {
-					s := scheduler.MustGet(name, scheduler.WithSeed(1))
-					res, err := s.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{
+					res, err := openDrive(context.Background(), name, w, scheduler.Budget{
 						MaxIterations: 1000,
 						OnProgress:    func(scheduler.Progress) bool { return false },
-					})
+					}, scheduler.WithSeed(1))
 					if err != nil {
-						t.Fatalf("Schedule: %v", err)
+						t.Fatalf("Drive: %v", err)
 					}
 					if res.Iterations > 2 {
 						t.Errorf("false-returning OnProgress did not stop the run: %d iterations", res.Iterations)
+					}
+				})
+
+				// Drive owns the stopping-criterion check: a metaheuristic
+				// search that nothing bounds is rejected before it steps,
+				// whether it was opened or restored (mshc -resume's path).
+				t.Run("unbounded-drive-rejected", func(t *testing.T) {
+					tap := scheduler.WithObserver(func(scheduler.Progress) {
+						t.Fatal("Drive stepped a search no criterion bounds")
+					})
+					opened, err := scheduler.Open(name, w.Graph, w.System, scheduler.WithSeed(1), tap)
+					if err != nil {
+						t.Fatalf("Open: %v", err)
+					}
+					data, err := opened.Snapshot()
+					if err != nil {
+						t.Fatalf("Snapshot: %v", err)
+					}
+					restored, err := scheduler.Restore(name, data, w.Graph, w.System, tap)
+					if err != nil {
+						t.Fatalf("Restore: %v", err)
+					}
+					for _, s := range []scheduler.Search{opened, restored} {
+						if _, err := scheduler.Drive(context.Background(), s, scheduler.Budget{}); err == nil {
+							t.Fatal("Drive accepted an unbounded run")
+						}
 					}
 				})
 
@@ -201,10 +235,9 @@ func TestConformance(t *testing.T) {
 						err error
 					}
 					ctx, cancel := context.WithCancel(context.Background())
-					s := scheduler.MustGet(name, scheduler.WithSeed(1))
 					done := make(chan outcome, 1)
 					go func() {
-						res, err := s.Schedule(ctx, w.Graph, w.System, scheduler.Budget{})
+						res, err := openDrive(ctx, name, w, scheduler.Budget{}, scheduler.WithSeed(1))
 						done <- outcome{res, err}
 					}()
 					time.Sleep(20 * time.Millisecond)

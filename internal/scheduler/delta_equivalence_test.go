@@ -40,19 +40,11 @@ func TestEveryRegisteredSchedulerDeltaVsFullIdentical(t *testing.T) {
 					b.MaxIterations = 25
 				}
 				opts := []scheduler.Option{scheduler.WithSeed(11), scheduler.WithY(3)}
-				delta, err := scheduler.Get(info.Name, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				full, err := scheduler.Get(info.Name, append(opts, scheduler.WithFullEval())...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dres, err := delta.Schedule(context.Background(), w.Graph, w.System, b)
+				dres, err := openDrive(context.Background(), info.Name, w, b, opts...)
 				if err != nil {
 					t.Fatalf("delta run: %v", err)
 				}
-				fres, err := full.Schedule(context.Background(), w.Graph, w.System, b)
+				fres, err := openDrive(context.Background(), info.Name, w, b, append(opts, scheduler.WithFullEval())...)
 				if err != nil {
 					t.Fatalf("full run: %v", err)
 				}
@@ -81,7 +73,7 @@ func TestSEDeltaVsFullIdenticalWithWorkers(t *testing.T) {
 	w := equivalenceWorkload()
 	b := scheduler.Budget{MaxIterations: 30}
 	base := []scheduler.Option{scheduler.WithSeed(5), scheduler.WithY(4), scheduler.WithBias(-0.1)}
-	want, err := scheduler.MustGet("se", base...).Schedule(context.Background(), w.Graph, w.System, b)
+	want, err := openDrive(context.Background(), "se", w, b, base...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +83,7 @@ func TestSEDeltaVsFullIdenticalWithWorkers(t *testing.T) {
 			if full {
 				opts = append(opts, scheduler.WithFullEval())
 			}
-			res, err := scheduler.MustGet("se", opts...).Schedule(context.Background(), w.Graph, w.System, b)
+			res, err := openDrive(context.Background(), "se", w, b, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +97,7 @@ func TestGADeltaVsFullIdenticalWithWorkers(t *testing.T) {
 	w := equivalenceWorkload()
 	b := scheduler.Budget{MaxIterations: 15}
 	base := []scheduler.Option{scheduler.WithSeed(5), scheduler.WithPopulation(40)}
-	want, err := scheduler.MustGet("ga", base...).Schedule(context.Background(), w.Graph, w.System, b)
+	want, err := openDrive(context.Background(), "ga", w, b, base...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +107,7 @@ func TestGADeltaVsFullIdenticalWithWorkers(t *testing.T) {
 			if full {
 				opts = append(opts, scheduler.WithFullEval())
 			}
-			res, err := scheduler.MustGet("ga", opts...).Schedule(context.Background(), w.Graph, w.System, b)
+			res, err := openDrive(context.Background(), "ga", w, b, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,17 +28,6 @@ func equivalenceWorkload() *workload.Workload {
 	})
 }
 
-func mustSchedule(t *testing.T, name string, b scheduler.Budget, opts ...scheduler.Option) *scheduler.Result {
-	t.Helper()
-	s := scheduler.MustGet(name, opts...)
-	w := equivalenceWorkload()
-	res, err := s.Schedule(context.Background(), w.Graph, w.System, b)
-	if err != nil {
-		t.Fatalf("Schedule(%s): %v", name, err)
-	}
-	return res
-}
-
 // mustDrive opens name on the equivalence workload and drives it through
 // the registry's budget loop.
 func mustDrive(t *testing.T, name string, b scheduler.Budget, opts ...scheduler.Option) *scheduler.Result {
@@ -97,17 +86,18 @@ func TestSEEquivalence(t *testing.T) {
 }
 
 func TestSEEquivalenceWithObservers(t *testing.T) {
-	// Tracing and progress sampling must not perturb the search.
+	// Progress callbacks and observer taps must not perturb the search.
 	w := equivalenceWorkload()
 	e, err := core.NewEngine(w.Graph, w.System, core.Options{Y: 3, Seed: 9})
 	direct := handStepped(t, e, err, 40)
-	res := mustSchedule(t, "se", scheduler.Budget{
+	var calls, taps int
+	res := mustDrive(t, "se", scheduler.Budget{
 		MaxIterations: 40,
-		OnProgress:    func(scheduler.Progress) bool { return true },
-	}, scheduler.WithY(3), scheduler.WithSeed(9), scheduler.WithTrace())
+		OnProgress:    func(scheduler.Progress) bool { calls++; return true },
+	}, scheduler.WithY(3), scheduler.WithSeed(9), scheduler.WithObserver(func(scheduler.Progress) { taps++ }))
 	assertSame(t, "se+observers", res.Best, res.Makespan, direct.Best, direct.Makespan)
-	if len(res.Trace) != direct.Iterations {
-		t.Errorf("trace entries = %d, want one per iteration (%d)", len(res.Trace), direct.Iterations)
+	if calls != direct.Iterations || taps != direct.Iterations {
+		t.Errorf("progress calls = %d, observer taps = %d, want one per iteration (%d)", calls, taps, direct.Iterations)
 	}
 }
 
@@ -128,9 +118,9 @@ func TestSEShardSingleShardMatchesSerialSE(t *testing.T) {
 	// The registry-level differential guard: se-shard with one shard must
 	// be bit-identical to se for any shared configuration.
 	for _, seed := range []int64{3, 21} {
-		serial := mustSchedule(t, "se", scheduler.Budget{MaxIterations: 50},
+		serial := mustDrive(t, "se", scheduler.Budget{MaxIterations: 50},
 			scheduler.WithBias(-0.1), scheduler.WithY(4), scheduler.WithSeed(seed))
-		sharded := mustSchedule(t, "se-shard", scheduler.Budget{MaxIterations: 50},
+		sharded := mustDrive(t, "se-shard", scheduler.Budget{MaxIterations: 50},
 			scheduler.WithShards(1), scheduler.WithBias(-0.1), scheduler.WithY(4), scheduler.WithSeed(seed))
 		assertSame(t, "se-shard/1", sharded.Best, sharded.Makespan, serial.Best, serial.Makespan)
 		if sharded.Iterations != serial.Iterations || sharded.Evaluations != serial.Evaluations ||
@@ -183,7 +173,7 @@ func TestConstructiveEquivalence(t *testing.T) {
 		"random":    heuristics.Random(w.Graph, w.System, 9),
 	}
 	for name, want := range direct {
-		res := mustSchedule(t, name, scheduler.Budget{}, scheduler.WithSeed(9))
+		res := mustDrive(t, name, scheduler.Budget{}, scheduler.WithSeed(9))
 		assertSame(t, name, res.Best, res.Makespan, want.Solution, want.Makespan)
 	}
 }

@@ -8,18 +8,19 @@ import (
 	"repro/internal/workload"
 )
 
-// ExampleGet is the whole library workflow in one screen: resolve an
-// algorithm by registry name, configure it with functional options, and
-// schedule a workload under a budget. Constructive heuristics like HEFT
-// ignore the budget and run to completion, so the result is deterministic.
-func ExampleGet() {
+// ExampleOpen is the whole library workflow in one screen: open an
+// algorithm's search by registry name on a workload, configure it with
+// functional options, and drive it under a budget. Constructive
+// heuristics like HEFT ignore the budget and run to completion, so the
+// result is deterministic.
+func ExampleOpen() {
 	w := workload.Figure1()
-	s, err := scheduler.Get("heft", scheduler.WithSeed(1))
+	s, err := scheduler.Open("heft", w.Graph, w.System, scheduler.WithSeed(1))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	res, err := s.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+	res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{})
 	if err != nil {
 		fmt.Println(err)
 		return

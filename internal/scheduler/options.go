@@ -8,7 +8,7 @@ import (
 // Config collects every tunable a registered scheduler understands. Each
 // algorithm reads the fields that apply to it and ignores the rest; zero
 // values mean "use the algorithm's default". Construct a Config through
-// functional Options passed to Get/MustGet.
+// functional Options passed to Open.
 type Config struct {
 	// Seed drives all randomness (every algorithm).
 	Seed int64
@@ -17,8 +17,6 @@ type Config struct {
 	// instead caps the number of regions sweeping concurrently, and 0
 	// means no cap.
 	Workers int
-	// Trace collects per-iteration Progress into Result.Trace.
-	Trace bool
 	// Initial, when non-nil, seeds the run with this solution.
 	Initial schedule.String
 	// FullEval disables the incremental evaluation engine
@@ -78,8 +76,8 @@ type Config struct {
 
 	// Observer, when non-nil, is called once per executed Step with that
 	// iteration's observation — the same Progress Budget.OnProgress sees,
-	// delivered regardless of how the search is driven (a Schedule budget
-	// loop or external Step calls). It is an observation-only tap: it
+	// delivered regardless of how the search is driven (Drive or external
+	// Step calls). It is an observation-only tap: it
 	// cannot stop the run, it runs after the iteration's state is
 	// computed, and it must not mutate search state. The serving layer
 	// adapts it into per-session steps/s and best-makespan gauges.
@@ -92,7 +90,7 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Option configures a scheduler at Get time.
+// Option configures a search at Open time.
 type Option func(*Config)
 
 // WithSeed sets the random seed.
@@ -101,9 +99,6 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // WithWorkers sets the number of parallel evaluation workers (for
 // se-shard: the cap on concurrently sweeping regions).
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithTrace collects per-iteration Progress into Result.Trace.
-func WithTrace() Option { return func(c *Config) { c.Trace = true } }
 
 // WithInitial seeds the run with an existing solution.
 func WithInitial(s schedule.String) Option { return func(c *Config) { c.Initial = s } }

@@ -97,30 +97,6 @@ func lookup(name string) (registryEntry, error) {
 	return e, nil
 }
 
-// Get builds the named scheduler with the given options. Unknown names
-// return an error listing every registered name.
-func Get(name string, opts ...Option) (Scheduler, error) {
-	e, err := lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return &algoScheduler{info: e.info, cfg: cfg, open: e.open}, nil
-}
-
-// MustGet is Get, panicking on unknown names. For use with names known at
-// compile time.
-func MustGet(name string, opts ...Option) Scheduler {
-	s, err := Get(name, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Names returns every registered name, sorted.
 func Names() []string {
 	regMu.RLock()

@@ -18,37 +18,30 @@ func stubRestore([]byte, *taskgraph.Graph, *platform.System) (Stepper, error) {
 }
 
 func TestGetKnownNames(t *testing.T) {
+	w := workload.Figure1()
 	for _, name := range []string{
 		"se", "se-ils", "se-shard", "ga", "sa", "tabu",
 		"heft", "cpop", "minmin", "maxmin", "sufferage", "mct", "random",
 	} {
-		s, err := Get(name, WithSeed(1))
+		s, err := Open(name, w.Graph, w.System, WithSeed(1))
 		if err != nil {
-			t.Fatalf("Get(%q): %v", name, err)
+			t.Fatalf("Open(%q): %v", name, err)
 		}
 		if s.Name() != name {
-			t.Errorf("Get(%q).Name() = %q", name, s.Name())
+			t.Errorf("Open(%q).Name() = %q", name, s.Name())
 		}
 	}
 }
 
 func TestGetUnknownName(t *testing.T) {
-	_, err := Get("does-not-exist")
+	w := workload.Figure1()
+	_, err := Open("does-not-exist", w.Graph, w.System)
 	if err == nil {
-		t.Fatal("Get accepted an unknown name")
+		t.Fatal("Open accepted an unknown name")
 	}
 	if !strings.Contains(err.Error(), "does-not-exist") || !strings.Contains(err.Error(), "se") {
 		t.Errorf("error should name the bad algorithm and list registered ones: %v", err)
 	}
-}
-
-func TestMustGetPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustGet did not panic on unknown name")
-		}
-	}()
-	MustGet("does-not-exist")
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
@@ -134,10 +127,13 @@ func TestOptionsReachTheAlgorithm(t *testing.T) {
 		Tasks: 30, Machines: 6, Connectivity: 2.5, Heterogeneity: 10, CCR: 0.5, Seed: 5,
 	})
 	run := func(opts ...Option) float64 {
-		s := MustGet("se", opts...)
-		res, err := s.Schedule(context.Background(), w.Graph, w.System, Budget{MaxIterations: 40})
+		s, err := Open("se", w.Graph, w.System, opts...)
 		if err != nil {
-			t.Fatalf("Schedule: %v", err)
+			t.Fatalf("Open: %v", err)
+		}
+		res, err := Drive(context.Background(), s, Budget{MaxIterations: 40})
+		if err != nil {
+			t.Fatalf("Drive: %v", err)
 		}
 		return res.Makespan
 	}
@@ -171,9 +167,9 @@ func TestParseNames(t *testing.T) {
 }
 
 func TestMetaheuristicRejectsUnboundedRun(t *testing.T) {
-	// Tracing (or any internal observer) must not count as a stopping
-	// criterion: an unbounded Budget with a non-cancellable context has to
-	// fail fast, exactly as the direct Run calls do.
+	// An observer tap must not count as a stopping criterion: Drive over
+	// an unbounded Budget with a non-cancellable context has to fail fast,
+	// before the search steps.
 	w := workload.MustGenerate(workload.Params{
 		Tasks: 10, Machines: 3, Connectivity: 2, Heterogeneity: 4, CCR: 0.5, Seed: 1,
 	})
@@ -182,9 +178,14 @@ func TestMetaheuristicRejectsUnboundedRun(t *testing.T) {
 		if info.Kind != Metaheuristic {
 			continue
 		}
-		s := MustGet(name, WithSeed(1), WithTrace())
-		if _, err := s.Schedule(context.Background(), w.Graph, w.System, Budget{}); err == nil {
-			t.Errorf("%s: unbounded traced run did not error", name)
+		s, err := Open(name, w.Graph, w.System, WithSeed(1), WithObserver(func(Progress) {
+			t.Fatalf("%s: Drive stepped an unbounded run", name)
+		}))
+		if err != nil {
+			t.Fatalf("Open(%q): %v", name, err)
+		}
+		if _, err := Drive(context.Background(), s, Budget{}); err == nil {
+			t.Errorf("%s: unbounded observed run did not error", name)
 		}
 	}
 }

@@ -88,21 +88,16 @@ func TestSnapshotResumeConformance(t *testing.T) {
 			stepN(t, restored, total-ranBefore)
 			assertSameOutcome(t, name, restored.Best(), want)
 
-			// The interrupted-and-restored path must also agree with the
-			// one-shot Schedule entry point under the same budget.
-			sched, err := scheduler.Get(name, opts...)
+			// The interrupted-and-restored path must also agree with a
+			// fresh search driven once under the same budget.
+			res, err := openDrive(context.Background(), name, w, scheduler.Budget{MaxIterations: total}, opts...)
 			if err != nil {
-				t.Fatalf("Get: %v", err)
-			}
-			res, err := sched.Schedule(context.Background(), w.Graph, w.System,
-				scheduler.Budget{MaxIterations: total})
-			if err != nil {
-				t.Fatalf("Schedule: %v", err)
+				t.Fatalf("Drive: %v", err)
 			}
 			if res.Iterations > ranFull && res.Iterations != 1 {
-				t.Errorf("Schedule ran %d iterations, Step loop %d", res.Iterations, ranFull)
+				t.Errorf("Drive ran %d iterations, Step loop %d", res.Iterations, ranFull)
 			}
-			assertSameOutcome(t, name+" (Schedule)", scheduler.Result{Best: res.Best, Makespan: res.Makespan}, want)
+			assertSameOutcome(t, name+" (Drive)", scheduler.Result{Best: res.Best, Makespan: res.Makespan}, want)
 		})
 	}
 }

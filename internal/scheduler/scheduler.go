@@ -4,18 +4,15 @@
 //
 // The paper's evaluation (§5) is a head-to-head of simulated evolution
 // against a GA baseline and constructive heuristics under equal budgets.
-// This package gives all of them one shape, at two levels:
-//
-//   - Search (Open/Step/Best/Snapshot, plus registry-level Restore) is
-//     the resumable engine view: one natural iteration per Step, best-
-//     so-far readable at any point, and the complete search state —
-//     solution strings, populations, rng stream positions, tabu lists,
-//     temperatures — serializable to versioned bytes that restore to a
-//     bit-identically continuing search, in this process or another.
-//   - Scheduler.Schedule is the one-shot view: a thin loop that opens a
-//     Search and drives it to a Budget. Everything that raced, swept or
-//     served schedulers before the resumable redesign still goes through
-//     this entry point unchanged.
+// This package gives all of them one shape: a Search (Open/Step/Best/
+// Snapshot, plus registry-level Restore) is the resumable engine view —
+// one natural iteration per Step, best-so-far readable at any point, and
+// the complete search state (solution strings, populations, rng stream
+// positions, tabu lists, temperatures) serializable to versioned bytes
+// that restore to a bit-identically continuing search, in this process
+// or another. Every run opens (or restores) a Search and finishes it in
+// Drive, the one budget loop, which also rejects metaheuristic runs that
+// nothing bounds.
 //
 // The experiment harness (internal/runner), the figure reproductions
 // (internal/experiments), the serving layer (internal/serve) and the
@@ -30,24 +27,21 @@
 package scheduler
 
 import (
-	"context"
 	"time"
 
-	"repro/internal/platform"
 	"repro/internal/schedule"
-	"repro/internal/taskgraph"
 )
 
-// Budget bounds one Schedule call. Iterative schedulers need at least one
-// stopping criterion — MaxIterations, TimeBudget, NoImprovement, a
-// false-returning OnProgress, or a cancellable context; constructive
-// heuristics run to completion regardless and ignore the bounds.
+// Budget bounds one Drive call. Iterative searches need at least one
+// stopping criterion — MaxIterations, TimeBudget, NoImprovement, an
+// OnProgress callback, or a cancellable context — and Drive rejects a
+// metaheuristic run with none before stepping it; constructive heuristics
+// run to completion regardless and ignore the bounds.
 //
-// A run stopped by context cancellation is not lost: Schedule stops at
-// the next iteration boundary and returns the best-so-far Result
-// alongside ctx.Err(), so a server tearing a session down mid-run still
-// harvests what the search found. Only a context cancelled before the
-// run starts yields a nil Result. The criteria compose — the run stops at
+// A run stopped by context cancellation is not lost: Drive stops at the
+// next iteration boundary and returns the best-so-far Result alongside
+// ctx.Err(), so a server tearing a session down mid-run still harvests
+// what the search found. The criteria compose — the run stops at
 // whichever triggers first, always at an iteration boundary.
 type Budget struct {
 	// MaxIterations stops the run after this many iterations (0 = no
@@ -76,28 +70,10 @@ type Budget struct {
 }
 
 // Progress is one iteration's observation, delivered to Budget.OnProgress
-// and collected into Result.Trace when tracing is enabled. It is the type
-// every engine's Step returns (see schedule.Progress).
+// and Config.Observer. It is the type every engine's Step returns (see
+// schedule.Progress).
 type Progress = schedule.Progress
 
-// Result is the uniform outcome of a Schedule call or a Search.Best read
+// Result is the uniform outcome of a Drive call or a Search.Best read
 // (see schedule.Result).
 type Result = schedule.Result
-
-// Scheduler is one matching-and-scheduling algorithm, configured and
-// ready to run. Implementations are safe for sequential reuse across
-// (graph, system) pairs; a Scheduler built with a fixed seed returns
-// identical results for identical inputs and budgets. Schedule is a thin
-// budget loop over the resumable Search API — callers that need to
-// pause, inspect, snapshot or resume a run use Open/Restore/Drive
-// directly instead.
-type Scheduler interface {
-	// Name returns the registry name ("se", "heft", …).
-	Name() string
-	// Schedule matches and schedules g onto sys within b. Cancelling ctx
-	// stops the run at the next iteration boundary and returns the
-	// best-so-far Result alongside ctx.Err() — servers tearing a session
-	// down cancel and still harvest the partial result. Only a context
-	// cancelled before the run starts yields a nil Result.
-	Schedule(ctx context.Context, g *taskgraph.Graph, sys *platform.System, b Budget) (*Result, error)
-}

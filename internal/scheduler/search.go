@@ -67,6 +67,12 @@ type Search interface {
 	// versioned, deterministic byte string. Restore rebuilds a search
 	// from it that continues bit-identically to this one.
 	Snapshot() ([]byte, error)
+	// Done reports, without stepping, that the search cannot advance
+	// further (a constructive heuristic after its single pass).
+	Done() bool
+	// Stalled reports whether the search has gone noImprove Budget
+	// iterations without improving its best (see Stepper.Stalled).
+	Stalled(noImprove int) bool
 }
 
 // search is the registry's Search implementation: a Stepper plus the
@@ -94,12 +100,8 @@ func (s *search) Step(ctx context.Context) (Progress, bool) {
 
 func (s *search) Best() Result { return *s.st.Result() }
 
-// Done reports that the search cannot advance further. Callers holding a
-// Search can reach it by asserting interface{ Done() bool } — kept off
-// the Search interface so foreign implementations stay minimal.
 func (s *search) Done() bool { return s.st.Done() }
 
-// Stalled exposes the engine's stagnation test to Drive.
 func (s *search) Stalled(noImprove int) bool { return s.st.Stalled(noImprove) }
 
 // Snapshot wraps the engine payload in the versioned envelope: algorithm
@@ -121,8 +123,8 @@ func (s *search) Snapshot() ([]byte, error) {
 }
 
 // Open builds a ready-to-step Search for the named algorithm on (g, sys)
-// with the given options. Unlike Schedule, no Budget is involved: the
-// caller's Step loop bounds the search.
+// with the given options; Drive runs it to a Budget. Unknown names return
+// an error listing every registered name.
 func Open(name string, g *taskgraph.Graph, sys *platform.System, opts ...Option) (Search, error) {
 	e, err := lookup(name)
 	if err != nil {
@@ -238,23 +240,19 @@ func SnapshotAlgorithm(snapshot []byte) (string, error) {
 	return name, nil
 }
 
-// Drive runs s to the budget: the same loop Scheduler.Schedule uses, in
-// its exported form so callers that Open or Restore a Search themselves
-// (cmd/mshc's -resume, the runner's races) finish it under standard
-// Budget semantics. Cancelling ctx stops the loop at the next iteration
-// boundary and returns the best-so-far Result alongside ctx.Err(). The
-// caller must bound the loop (a Budget criterion or a cancellable ctx):
-// an unbounded metaheuristic steps forever.
+// Drive runs s to the budget — the one budget loop every run goes
+// through, whether its search was just opened, restored from a snapshot
+// or is being resumed for another budget. A metaheuristic search that no
+// criterion bounds (see Budget) is rejected before it steps. Cancelling
+// ctx stops the loop at the next iteration boundary and returns the
+// best-so-far Result alongside ctx.Err().
 func Drive(ctx context.Context, s Search, b Budget) (*Result, error) {
-	return drive(ctx, s, b, false)
-}
-
-// drive is the budget loop over one search. Trace collection is the one
-// knob Drive does not expose: it belongs to Get-time configuration
-// (WithTrace), so only Schedule sets it.
-func drive(ctx context.Context, s Search, b Budget, trace bool) (*Result, error) {
+	if info, _ := Describe(s.Name()); info.Kind == Metaheuristic &&
+		b.MaxIterations <= 0 && b.TimeBudget <= 0 && b.NoImprovement <= 0 &&
+		b.OnProgress == nil && ctx.Done() == nil {
+		return nil, fmt.Errorf("scheduler: %s: no stopping criterion set (Budget.MaxIterations, TimeBudget, NoImprovement, OnProgress, or a cancellable context)", s.Name())
+	}
 	start := time.Now()
-	var collected []Progress
 	steps := 0
 	cancelled := false
 	for {
@@ -262,7 +260,7 @@ func drive(ctx context.Context, s Search, b Budget, trace bool) (*Result, error)
 			cancelled = true
 			break
 		}
-		if searchDone(s) {
+		if s.Done() {
 			// Already exhausted before this iteration — Step would skip
 			// without executing, so no observation is fabricated for it.
 			// Matters to re-driven searches: a finished constructive
@@ -271,7 +269,7 @@ func drive(ctx context.Context, s Search, b Budget, trace bool) (*Result, error)
 			break
 		}
 		pr, more := s.Step(ctx)
-		if !more && !searchDone(s) && ctx.Err() != nil {
+		if !more && !s.Done() && ctx.Err() != nil {
 			// The context was cancelled between the loop-top check and
 			// the Step call: the iteration was skipped, not executed, so
 			// nothing is recorded and the run reports its cancellation.
@@ -279,9 +277,6 @@ func drive(ctx context.Context, s Search, b Budget, trace bool) (*Result, error)
 			break
 		}
 		steps++
-		if trace {
-			collected = append(collected, pr)
-		}
 		if b.OnProgress != nil && !b.OnProgress(pr) {
 			break
 		}
@@ -294,63 +289,14 @@ func drive(ctx context.Context, s Search, b Budget, trace bool) (*Result, error)
 		if b.TimeBudget > 0 && time.Since(start) >= b.TimeBudget {
 			break
 		}
-		if b.NoImprovement > 0 && stalled(s, b.NoImprovement) {
+		if b.NoImprovement > 0 && s.Stalled(b.NoImprovement) {
 			break
 		}
 	}
 	res := s.Best()
-	res.Trace = collected
 	res.Elapsed = time.Since(start)
 	if cancelled {
 		return &res, ctx.Err()
 	}
 	return &res, nil
-}
-
-// stalled asks the search's engine for its stagnation verdict; a foreign
-// Search implementation without one never reports stalling (the caller's
-// other criteria bound the run).
-func stalled(s Search, noImprove int) bool {
-	if st, ok := s.(interface{ Stalled(int) bool }); ok {
-		return st.Stalled(noImprove)
-	}
-	return false
-}
-
-// searchDone reads the search's exhaustion flag without stepping it; a
-// foreign Search implementation without one reports not-done, so its
-// final executed iteration is still recorded.
-func searchDone(s Search) bool {
-	d, ok := s.(interface{ Done() bool })
-	return ok && d.Done()
-}
-
-// algoScheduler adapts a registry entry to the one-shot Scheduler
-// interface: Schedule opens a fresh Search and drives it to the budget.
-type algoScheduler struct {
-	info Info
-	cfg  Config
-	open OpenFunc
-}
-
-func (a *algoScheduler) Name() string { return a.info.Name }
-
-func (a *algoScheduler) Schedule(ctx context.Context, g *taskgraph.Graph, sys *platform.System, b Budget) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// An iterative run must be bounded by the caller. A cancellable
-	// context counts — cancelling it is how servers bound a run they
-	// cannot size in advance.
-	if a.info.Kind == Metaheuristic &&
-		b.MaxIterations <= 0 && b.TimeBudget <= 0 && b.NoImprovement <= 0 &&
-		b.OnProgress == nil && ctx.Done() == nil {
-		return nil, fmt.Errorf("scheduler: %s: no stopping criterion set (Budget.MaxIterations, TimeBudget, NoImprovement, OnProgress, or a cancellable context)", a.info.Name)
-	}
-	st, err := a.open(a.cfg, g, sys)
-	if err != nil {
-		return nil, err
-	}
-	s := &search{name: a.info.Name, g: g, sys: sys, st: st, observe: a.cfg.Observer}
-	return drive(ctx, s, b, a.cfg.Trace)
 }

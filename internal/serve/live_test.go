@@ -10,6 +10,9 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/live"
@@ -323,5 +326,82 @@ func TestApplyEventUnknownSession(t *testing.T) {
 	_, err := mgr.ApplyEvent("nope", arrivalEvent())
 	if !errors.Is(err, serve.ErrNotFound) {
 		t.Fatalf("ApplyEvent on unknown session: %v, want ErrNotFound", err)
+	}
+}
+
+// postRaw posts body to url and returns the status code and response body.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
+// TestUploadRejectsOverflowingCosts: an uploaded workload whose costs
+// overflow every makespan to +Inf is a 400 with an error body, not a
+// session whose every JSON answer is an empty success.
+func TestUploadRejectsOverflowingCosts(t *testing.T) {
+	_, _, url := newMetricsServer(t, serve.Options{})
+	doc := `{"name":"huge","tasks":["a","b"],"items":[],"exec":[[1e308,1e308]]}`
+	code, body := postRaw(t, url+"/v1/sessions", `{"workload":`+doc+`}`)
+	if code != http.StatusBadRequest || !strings.Contains(body, "float64 range") {
+		t.Fatalf("upload answered %d %q, want 400 naming the overflow", code, body)
+	}
+}
+
+// TestEventOverflowingCostsRejected: a speed factor that pushes execution
+// times past the float64 range is a 400 that leaves the session as it
+// was, still answering JSON.
+func TestEventOverflowingCostsRejected(t *testing.T) {
+	client, _, url := newMetricsServer(t, serve.Options{})
+	ctx := context.Background()
+	info, err := client.CreateSession(ctx, serve.CreateSessionRequest{Preset: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := client.Schedule(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := postRaw(t, url+"/v1/sessions/"+info.ID+"/events",
+		`{"kind":"machine_speed","machine":0,"factor":1e308}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("overflowing event answered %d %q, want 400", code, body)
+	}
+	after, err := client.Schedule(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("schedule after a rejected event: %v", err)
+	}
+	if after != before {
+		t.Errorf("rejected event changed the schedule: %+v → %+v", before, after)
+	}
+}
+
+// TestEventUnderflowingCostsLeaveSessionUsable: a second 1e-200 speed-up
+// underflows execution times to zero. That event is a 400 that leaves the
+// session at the first event's state, so later events still apply.
+func TestEventUnderflowingCostsLeaveSessionUsable(t *testing.T) {
+	client, _ := newTestServer(t, serve.Options{})
+	ctx := context.Background()
+	info, err := client.CreateSession(ctx, serve.CreateSessionRequest{Preset: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := live.Event{Kind: live.KindMachineSpeed, Machine: 0, Factor: 1e-200}
+	if _, err := client.ApplyEvent(ctx, info.ID, tiny); err != nil {
+		t.Fatalf("first speed-up: %v", err)
+	}
+	if _, err := client.ApplyEvent(ctx, info.ID, tiny); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("underflowing speed-up: %v, want a 400", err)
+	}
+	if _, err := client.ApplyEvent(ctx, info.ID, live.Event{Kind: live.KindMachineSpeed, Machine: 1, Factor: 2}); err != nil {
+		t.Fatalf("event after a rejected one: %v", err)
 	}
 }

@@ -12,28 +12,12 @@ import (
 // more requests (each is a fresh scheduling opportunity).
 const MaxStepsPerRequest = 10_000
 
-// searchOptions maps a request's tunables onto scheduler options. The two
-// observation options ride along on every search: the session's Progress
-// tap and the manager's registry (which se-dist's coordinator exports its
-// transport instruments into).
+// searchOptions is req.Options plus what the session contributes: its
+// Progress tap, the manager's registry (which se-dist's coordinator
+// exports its transport instruments into) and, for FromBase, the pinned
+// base string as the seed solution.
 func (m *Manager) searchOptions(req RunRequest, s *Session) []scheduler.Option {
-	opts := []scheduler.Option{
-		scheduler.WithSeed(req.Seed),
-		scheduler.WithWorkers(req.Workers),
-		scheduler.WithBias(req.Bias),
-		scheduler.WithY(req.Y),
-		scheduler.WithPopulation(req.Population),
-		scheduler.WithShards(req.Shards),
-		scheduler.WithRoundBatch(req.RoundBatch),
-		scheduler.WithObserver(s.observe),
-		scheduler.WithMetrics(m.reg),
-	}
-	if len(req.WorkerURLs) > 0 {
-		opts = append(opts, scheduler.WithWorkerURLs(req.WorkerURLs...))
-	}
-	if req.FullEval {
-		opts = append(opts, scheduler.WithFullEval())
-	}
+	opts := append(req.Options(), scheduler.WithObserver(s.observe), scheduler.WithMetrics(m.reg))
 	if req.FromBase {
 		opts = append(opts, scheduler.WithInitial(s.delta.Base().Clone()))
 	}
@@ -73,14 +57,8 @@ func (s *Session) searchInfo() SearchInfo {
 		Algorithm:    s.searchAlgo,
 		Iterations:   res.Iterations,
 		BestMakespan: res.Makespan,
-		Done:         searchDone(s.search),
+		Done:         s.search.Done(),
 	}
-}
-
-// searchDone reads the search's exhaustion flag without stepping it.
-func searchDone(s scheduler.Search) bool {
-	d, ok := s.(interface{ Done() bool })
-	return ok && d.Done()
 }
 
 // OpenSearch pins a live resumable search in the session, replacing any
@@ -136,27 +114,24 @@ func (m *Manager) StepSearch(id string, req StepRequest) (StepResponse, error) {
 		if steps > MaxStepsPerRequest {
 			steps = MaxStepsPerRequest
 		}
-		for i := 0; i < steps; i++ {
-			if searchDone(s.search) {
-				// Nothing left to execute: report Done without
-				// fabricating an iteration.
-				out.Done = true
-				break
-			}
-			// The session's context bounds the loop: tearing the session
-			// down stops the stepping at the next iteration boundary.
-			pr, more := s.search.Step(s.ctx)
-			if s.ctx.Err() != nil {
-				return fmt.Errorf("serve: session %q %w", s.id, ErrClosed)
-			}
-			out.Performed++
-			out.Progress = newProgressEvent(pr)
-			if !more {
-				out.Done = true
-				break
-			}
+		// The session's context bounds the loop: tearing the session down
+		// stops the stepping at the next iteration boundary. An exhausted
+		// search executes nothing and reports Done.
+		res, err := scheduler.Drive(s.ctx, s.search, scheduler.Budget{
+			MaxIterations: steps,
+			OnProgress: func(pr scheduler.Progress) bool {
+				out.Performed++
+				out.Progress = newProgressEvent(pr)
+				return true
+			},
+		})
+		if s.ctx.Err() != nil {
+			return fmt.Errorf("serve: session %q %w", s.id, ErrClosed)
 		}
-		res := s.search.Best()
+		if err != nil {
+			return err
+		}
+		out.Done = s.search.Done()
 		out.BestMakespan = res.Makespan
 		if req.Snapshot {
 			data, err := s.search.Snapshot()
@@ -166,7 +141,7 @@ func (m *Manager) StepSearch(id string, req StepRequest) (StepResponse, error) {
 			m.met.snapshotBytes.Add(uint64(len(data)))
 			out.Snapshot = &SearchSnapshot{Algorithm: s.searchAlgo, Seed: s.searchSeed, Snapshot: data}
 		}
-		m.adoptBest(s, &res)
+		m.adoptBest(s, res)
 		return nil
 	})
 	return out, err

@@ -41,15 +41,20 @@ func newTestServer(t *testing.T, opts serve.Options) (*serve.Client, *serve.Mana
 // scheduler registry — the reference the service must match bit-for-bit.
 func offline(t *testing.T, w *workload.Workload, algo string, seed int64, iters int) *scheduler.Result {
 	t.Helper()
-	s, err := scheduler.Get(algo, scheduler.WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{MaxIterations: iters})
+	res, err := openDrive(w, algo, scheduler.Budget{MaxIterations: iters}, scheduler.WithSeed(seed))
 	if err != nil {
 		t.Fatalf("offline %s: %v", algo, err)
 	}
 	return res
+}
+
+// openDrive opens algo on w and drives it to b in-process.
+func openDrive(w *workload.Workload, algo string, b scheduler.Budget, opts ...scheduler.Option) (*scheduler.Result, error) {
+	s, err := scheduler.Open(algo, w.Graph, w.System, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return scheduler.Drive(context.Background(), s, b)
 }
 
 // TestServiceMatchesOfflineRuns is the service determinism contract: for
@@ -112,11 +117,8 @@ func TestShardedRunMatchesOffline(t *testing.T) {
 		t.Fatalf("CreateSession: %v", err)
 	}
 	for _, shards := range []int{1, 4} {
-		s, err := scheduler.Get("se-shard", scheduler.WithSeed(5), scheduler.WithShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := s.Schedule(ctx, w.Graph, w.System, scheduler.Budget{MaxIterations: 20})
+		want, err := openDrive(w, "se-shard", scheduler.Budget{MaxIterations: 20},
+			scheduler.WithSeed(5), scheduler.WithShards(shards))
 		if err != nil {
 			t.Fatalf("offline se-shard: %v", err)
 		}
@@ -217,8 +219,7 @@ func TestConcurrentSessionsAreIsolatedAndDeterministic(t *testing.T) {
 			}
 			seed := int64(i + 1)
 			want := func() *scheduler.Result {
-				s := scheduler.MustGet("se", scheduler.WithSeed(seed))
-				res, err := s.Schedule(ctx, w.Graph, w.System, scheduler.Budget{MaxIterations: 20})
+				res, err := openDrive(w, "se", scheduler.Budget{MaxIterations: 20}, scheduler.WithSeed(seed))
 				if err != nil {
 					panic(err)
 				}

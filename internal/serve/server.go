@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -389,12 +390,21 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
+// writeJSON encodes v before it writes the status line, so a value that
+// does not encode (a non-finite float, say) becomes a 500 with an
+// ErrorBody instead of a success status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		enc.Encode(ErrorBody{Error: fmt.Sprintf("serve: encode response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, err error) {

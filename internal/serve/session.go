@@ -93,6 +93,9 @@ type Manager struct {
 
 	mu       sync.Mutex
 	sessions map[string]*Session
+	// spilling holds the sessions an eviction or Close has taken out of
+	// the table but not yet torn down, so Delete can still reach them.
+	spilling map[*Session]struct{}
 	nextID   uint64
 	closed   bool
 
@@ -175,6 +178,7 @@ func NewManager(opts Options) *Manager {
 		met:      newManagerMetrics(reg),
 		store:    opts.Store,
 		sessions: make(map[string]*Session),
+		spilling: make(map[*Session]struct{}),
 	}
 	if m.store != nil {
 		// Boot replay: revive what a previous process persisted before the
@@ -221,7 +225,7 @@ func (m *Manager) EvictIdle() []string {
 	for _, s := range m.sessions {
 		if s.pending == 0 && now.Sub(s.lastUsed) > m.opts.IdleTimeout {
 			victims = append(victims, s)
-			delete(m.sessions, s.id)
+			m.detachLocked(s)
 		}
 	}
 	m.mu.Unlock()
@@ -341,7 +345,7 @@ func (m *Manager) install(id string, w *workload.Workload, base schedule.String,
 		if lru == nil {
 			break
 		}
-		delete(m.sessions, lru.id)
+		m.detachLocked(lru)
 		victims = append(victims, lru)
 	}
 	if id == "" {
@@ -362,6 +366,13 @@ func (m *Manager) install(id string, w *workload.Workload, base schedule.String,
 		m.spill(v, "lru")
 	}
 	return s, nil
+}
+
+// detachLocked takes s out of the table for a spill, keeping it reachable
+// to Delete until the spill is done. Callers hold m.mu.
+func (m *Manager) detachLocked(s *Session) {
+	delete(m.sessions, s.id)
+	m.spilling[s] = struct{}{}
 }
 
 // lruLocked returns the least-recently-used session, preferring one with
@@ -507,11 +518,7 @@ func (m *Manager) Run(ctx context.Context, id string, req RunRequest, onProgress
 		stop := context.AfterFunc(s.ctx, cancel)
 		defer stop()
 
-		b := scheduler.Budget{
-			MaxIterations: req.MaxIterations,
-			TimeBudget:    time.Duration(req.TimeBudgetMS * float64(time.Millisecond)),
-			NoImprovement: req.NoImprovement,
-		}
+		b := req.Budget()
 		if onProgress != nil {
 			b.OnProgress = func(p scheduler.Progress) bool {
 				onProgress(newProgressEvent(p))
@@ -686,36 +693,45 @@ func (m *Manager) Registry() *obs.Registry { return m.reg }
 // does not come back on the next boot replay. Deleting a session that
 // lives only in the store (spilled, not revived) succeeds too.
 //
-// The table removal, the cancellation and the store removal happen
-// together under m.mu, and persist writes only for a live session under
-// the same lock: a request still finishing on the worker can no longer
-// write the deleted session back.
+// The table removal, the cancellation of the session and of any copy
+// still being spilled, and the store removal happen together under m.mu;
+// persist and spill write only for a session that is not cancelled,
+// checked under the same lock. So neither a request still finishing on
+// the worker nor a concurrent spill can write the deleted session back.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
-	s, ok := m.sessions[id]
-	if ok {
+	s, live := m.sessions[id]
+	if live {
 		delete(m.sessions, id)
 		s.cancel()
-		if m.store != nil {
-			m.store.Delete(id)
+	}
+	spilling := false
+	for sp := range m.spilling {
+		if sp.id == id {
+			sp.cancel()
+			spilling = true
 		}
 	}
+	if m.store != nil && (live || spilling) {
+		m.store.Delete(id)
+	}
 	m.mu.Unlock()
-	if !ok {
-		if m.store == nil {
-			return fmt.Errorf("serve: %w: %q", ErrNotFound, id)
-		}
+	switch {
+	case live:
+		m.finish(s, "delete")
+		return nil
+	case m.store == nil:
+		return fmt.Errorf("serve: %w: %q", ErrNotFound, id)
+	case !spilling:
 		if _, stored := m.store.Get(id); !stored {
 			return fmt.Errorf("serve: %w: %q", ErrNotFound, id)
 		}
 		m.store.Delete(id)
-		// The spill already tore the live metrics down; only the explicit
-		// deletion is left to account, plus a defensive sweep of any
-		// per-session gauge children (see sessionDown).
-		m.met.storedDown(id, "delete")
-		return nil
 	}
-	m.finish(s, "delete")
+	// The spill tears (or already tore) the live metrics down; only the
+	// explicit deletion is left to account, plus a defensive sweep of any
+	// per-session gauge children (see sessionDown).
+	m.met.storedDown(id, "delete")
 	return nil
 }
 
@@ -743,6 +759,11 @@ func (m *Manager) shutdown(spill bool) {
 	m.closed = true
 	sessions := m.sessions
 	m.sessions = map[string]*Session{}
+	if spill {
+		for _, s := range sessions {
+			m.spilling[s] = struct{}{}
+		}
+	}
 	m.mu.Unlock()
 	for _, s := range sessions {
 		if spill {

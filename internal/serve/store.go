@@ -158,13 +158,23 @@ func (m *Manager) captureRecord(s *Session) ([]byte, error) {
 // spill persists the session's final state to the store and tears it
 // down: with a store configured, idle/LRU eviction and manager shutdown
 // become migration to disk instead of loss — the next request for the
-// session revives it transparently.
+// session revives it transparently. The session must be in m.spilling
+// (see detachLocked). Like persist, it writes nothing once the session is
+// cancelled: a Delete since the session left the table cancelled it and
+// removed its record, which must stay removed.
 func (m *Manager) spill(s *Session, reason string) {
+	var rec []byte
 	if m.store != nil {
-		if rec, err := m.captureRecord(s); err == nil {
-			m.store.Put(s.id, rec)
-		}
+		// On an encoding failure or a torn-down session the store's last
+		// good record stands, as in persist.
+		rec, _ = m.captureRecord(s)
 	}
+	m.mu.Lock()
+	if rec != nil && s.ctx.Err() == nil {
+		m.store.Put(s.id, rec)
+	}
+	delete(m.spilling, s)
+	m.mu.Unlock()
 	m.finish(s, reason)
 }
 

@@ -349,3 +349,66 @@ func TestDeleteDuringRunStaysDeleted(t *testing.T) {
 		t.Errorf("Info after Delete: %v, want ErrNotFound", err)
 	}
 }
+
+// TestDeleteDuringSpillStaysDeleted: a Delete that lands while LRU
+// eviction is spilling the same session is final. Session A is busy with a
+// run when Create(B) evicts it at the cap of one, so the spill waits for
+// A's worker with A already out of the table. A Delete in that window must
+// stop both writers that could put A back: the run's persist and the
+// spill's Put.
+func TestDeleteDuringSpillStaysDeleted(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mgr := serve.NewManager(serve.Options{Store: st, MaxSessions: 1})
+	defer mgr.Close()
+	a, err := mgr.Create(serve.CreateSessionRequest{Preset: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ran := make(chan error, 1)
+	go func() {
+		_, err := mgr.Run(context.Background(), a.ID,
+			serve.RunRequest{Algorithm: "se", Seed: 1, MaxIterations: 5},
+			func(serve.ProgressEvent) { once.Do(func() { close(started); <-release }) })
+		ran <- err
+	}()
+	<-started
+	created := make(chan error, 1)
+	go func() {
+		_, err := mgr.Create(serve.CreateSessionRequest{Preset: "small"})
+		created <- err
+	}()
+	// Wait for the eviction to take A out of the table; its spill then
+	// waits for A's worker, which the blocked run holds.
+	for evicted := false; !evicted; {
+		evicted = true
+		for _, s := range mgr.List() {
+			evicted = evicted && s.ID != a.ID
+		}
+	}
+	if err := mgr.Delete(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-ran; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := <-created; err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(a.ID); ok {
+		t.Error("the deleted session's record is back in the store")
+	}
+	if _, err := mgr.Info(a.ID); !errors.Is(err, serve.ErrNotFound) {
+		t.Errorf("Info after Delete: %v, want ErrNotFound", err)
+	}
+}

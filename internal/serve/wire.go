@@ -115,6 +115,37 @@ type RunRequest struct {
 	FromBase bool `json:"from_base,omitempty"`
 }
 
+// Options maps the request's algorithm tunables onto scheduler options —
+// the one mapping mshd's sessions and mshc's in-process runs share.
+// FromBase is session state, so the session adds it (see searchOptions).
+func (r RunRequest) Options() []scheduler.Option {
+	opts := []scheduler.Option{
+		scheduler.WithSeed(r.Seed),
+		scheduler.WithWorkers(r.Workers),
+		scheduler.WithBias(r.Bias),
+		scheduler.WithY(r.Y),
+		scheduler.WithPopulation(r.Population),
+		scheduler.WithShards(r.Shards),
+		scheduler.WithRoundBatch(r.RoundBatch),
+	}
+	if len(r.WorkerURLs) > 0 {
+		opts = append(opts, scheduler.WithWorkerURLs(r.WorkerURLs...))
+	}
+	if r.FullEval {
+		opts = append(opts, scheduler.WithFullEval())
+	}
+	return opts
+}
+
+// Budget maps the request's stopping criteria onto a scheduler.Budget.
+func (r RunRequest) Budget() scheduler.Budget {
+	return scheduler.Budget{
+		MaxIterations: r.MaxIterations,
+		TimeBudget:    time.Duration(r.TimeBudgetMS * float64(time.Millisecond)),
+		NoImprovement: r.NoImprovement,
+	}
+}
+
 // Result is the uniform wire form of a scheduler.Result — the same schema
 // whether it came over HTTP from mshd or from an offline `mshc -json` run.
 type Result struct {

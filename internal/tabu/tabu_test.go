@@ -117,7 +117,10 @@ func TestOptionErrors(t *testing.T) {
 		want string
 	}{
 		{"no stop", func() error {
-			_, err := scheduler.MustGet("tabu").Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{})
+			s, err := scheduler.Open("tabu", w.Graph, w.System)
+			if err == nil {
+				_, err = scheduler.Drive(context.Background(), s, scheduler.Budget{})
+			}
 			return err
 		}, "stopping criterion"},
 		{"bad initial", func() error {

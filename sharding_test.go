@@ -25,9 +25,12 @@ func xlargeWorkload(t testing.TB) *workload.Workload {
 
 func timedRun(t testing.TB, w *workload.Workload, name string, iters int, opts ...scheduler.Option) (*scheduler.Result, time.Duration) {
 	t.Helper()
-	s := scheduler.MustGet(name, opts...)
 	start := time.Now()
-	res, err := s.Schedule(context.Background(), w.Graph, w.System, scheduler.Budget{MaxIterations: iters})
+	s, err := scheduler.Open(name, w.Graph, w.System, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	res, err := scheduler.Drive(context.Background(), s, scheduler.Budget{MaxIterations: iters})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
