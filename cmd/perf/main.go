@@ -16,8 +16,8 @@
 //
 // Usage:
 //
-//	go run ./cmd/perf -o BENCH_9.json -ledger 9     # write a full ledger
-//	go run ./cmd/perf -quick -check BENCH_9.json    # CI regression gate
+//	go run ./cmd/perf -o BENCH_19.json -ledger 19   # write a full ledger
+//	go run ./cmd/perf -quick -check BENCH_19.json   # CI regression gate
 //	go run ./cmd/perf -presets large -algos se,ga -cpuprofile cpu.out
 //
 // Determinism: every cell is driven by a fixed seed and a pinned shard

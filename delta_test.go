@@ -1,9 +1,11 @@
 // Enforces the incremental evaluation engine's acceptance bar outside
 // benchmark runs: on the Figure-3 workload class at paper scale, an SE
-// allocation sweep must evaluate at least 2× fewer genes with the delta
+// allocation sweep must evaluate at least 3.5× fewer genes with the delta
 // engine than with full evaluation — at byte-identical search results.
-// BenchmarkSEAllocationDeltaVsFull reports the same quantities as
-// metrics; this test fails the build if the saving regresses.
+// The engine reaches about 4.1×; without the "no task can gain" abort it
+// falls back to about 2.3×. BenchmarkSEAllocationDeltaVsFull reports the
+// same quantities as metrics; this test fails the build if the saving
+// regresses.
 package repro_test
 
 import (
@@ -36,8 +38,8 @@ func TestDeltaEngineHalvesGenesPerAllocationSweep(t *testing.T) {
 			t.Fatalf("best strings differ at gene %d: %v vs %v", i, delta.Best[i], fullRes.Best[i])
 		}
 	}
-	if fullRes.GenesEvaluated < 2*delta.GenesEvaluated {
-		t.Errorf("genes per sweep: full %d < 2× delta %d — the incremental engine no longer halves the evaluation effort",
+	if 2*fullRes.GenesEvaluated < 7*delta.GenesEvaluated {
+		t.Errorf("genes per sweep: full %d < 3.5× delta %d — the incremental engine lost part of its saving",
 			fullRes.GenesEvaluated, delta.GenesEvaluated)
 	}
 	if delta.DeltaEvaluations == 0 {

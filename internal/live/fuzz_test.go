@@ -60,6 +60,55 @@ func FuzzApplyEvent(f *testing.F) {
 	})
 }
 
+// FuzzDecodeTrace feeds arbitrary bytes to DecodeTrace, the parser behind
+// mshc -trace. It must never panic, every accepted trace must keep its
+// ticks within MaxTick, and an accepted trace must be a fixed point of the
+// encoding: re-encoded, it decodes again and encodes to the same bytes.
+func FuzzDecodeTrace(f *testing.F) {
+	tr, err := GenerateTrace(TraceParams{Base: baseParams(), Events: 6, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeTrace(&buf, tr); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	base, err := json.Marshal(baseParams())
+	if err != nil {
+		f.Fatal(err)
+	}
+	// One event at the largest int tick, which overflows a replay's span,
+	// one at 9.2e18, which would replay practically forever, and one at
+	// MaxTick, the largest accepted.
+	for _, tick := range []string{"9223372036854775807", "9200000000000000000", "65536"} {
+		f.Add([]byte(`{"name":"x","base":` + string(base) + `,"events":[{"tick":` + tick + `,"kind":"machine_leave"}]}`))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if last := tr.LastTick(); last > MaxTick {
+			t.Fatalf("accepted a trace whose last tick %d exceeds MaxTick", last)
+		}
+		var a, b bytes.Buffer
+		if err := EncodeTrace(&a, tr); err != nil {
+			t.Fatalf("EncodeTrace: %v", err)
+		}
+		again, err := DecodeTrace(bytes.NewReader(a.Bytes()))
+		if err != nil {
+			t.Fatalf("the re-encoded trace is rejected: %v", err)
+		}
+		if err := EncodeTrace(&b, again); err != nil {
+			t.Fatalf("EncodeTrace: %v", err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("the trace changed through encode and decode:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
+		}
+	})
+}
+
 func encodeWorkload(t *testing.T, w *workload.Workload) []byte {
 	t.Helper()
 	var buf bytes.Buffer

@@ -119,6 +119,22 @@ type Trace struct {
 	Events []Event         `json:"events"`
 }
 
+// MaxTick caps a trace's event ticks and a replay's tick span, its last
+// event's tick plus Options.TailTicks. A replay runs StepsPerTick search
+// iterations and records one Sample per tick of its span, so its work and
+// its report grow with the span, not with the trace's size: one event at
+// tick 9.2e18 is a few dozen bytes of JSON that would replay practically
+// forever, and one at math.MaxInt64 would overflow the span to a replay
+// of zero ticks that silently drops the event. 2^16 ticks is about 200
+// times the span of the committed 200-event trace (329 ticks), reached by
+// GenerateTrace only past MaxEvents, and keeps the span far from int
+// overflow.
+const MaxTick = 1 << 16
+
+// MaxEvents caps TraceParams.Events: the generator advances at most three
+// ticks per event, so every generated trace stays within MaxTick.
+const MaxEvents = MaxTick / 3
+
 // LastTick returns the tick of the latest event, or 0 for an empty
 // trace.
 func (tr *Trace) LastTick() int {
@@ -132,9 +148,9 @@ func (tr *Trace) LastTick() int {
 }
 
 // Validate reports the first structural fault of the trace: an unknown
-// event kind, a negative tick, or out-of-order ticks. Per-event payload
-// validation (row lengths, producer ranges) happens at Apply time, where
-// the problem's current shape is known.
+// event kind, a negative tick or one past MaxTick, or out-of-order ticks.
+// Per-event payload validation (row lengths, producer ranges) happens at
+// Apply time, where the problem's current shape is known.
 func (tr *Trace) Validate() error {
 	if err := tr.Base.Validate(); err != nil {
 		return fmt.Errorf("live: trace %q: base: %w", tr.Name, err)
@@ -146,8 +162,8 @@ func (tr *Trace) Validate() error {
 		default:
 			return fmt.Errorf("live: trace %q: event %d: unknown kind %q", tr.Name, i, ev.Kind)
 		}
-		if ev.Tick < 0 {
-			return fmt.Errorf("live: trace %q: event %d: negative tick %d", tr.Name, i, ev.Tick)
+		if ev.Tick < 0 || ev.Tick > MaxTick {
+			return fmt.Errorf("live: trace %q: event %d: tick %d outside [0, %d]", tr.Name, i, ev.Tick, MaxTick)
 		}
 		if ev.Tick < prev {
 			return fmt.Errorf("live: trace %q: event %d: tick %d before predecessor's %d", tr.Name, i, ev.Tick, prev)

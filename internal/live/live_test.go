@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -70,6 +72,8 @@ func TestTraceValidateRejects(t *testing.T) {
 	for name, tr := range map[string]*Trace{
 		"unknown kind":  {Base: base, Events: []Event{{Tick: 1, Kind: "explode"}}},
 		"negative tick": {Base: base, Events: []Event{{Tick: -1, Kind: KindTaskArrival}}},
+		"tick past cap": {Base: base, Events: []Event{{Tick: MaxTick + 1, Kind: KindTaskArrival}}},
+		"largest tick":  {Base: base, Events: []Event{{Tick: math.MaxInt64, Kind: KindTaskArrival}}},
 		"out of order":  {Base: base, Events: []Event{{Tick: 5, Kind: KindMachineJoin}, {Tick: 2, Kind: KindMachineLeave}}},
 	} {
 		if err := tr.Validate(); err == nil {
@@ -229,6 +233,46 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 	if len(a.Segments) != len(tr.Events) {
 		t.Errorf("Segments has %d entries, want %d", len(a.Segments), len(tr.Events))
+	}
+}
+
+// TestReplayRejectsExtremeTicks: a replay's work grows with its tick span,
+// so ticks and spans past MaxTick are errors, not a replay of zero ticks
+// that drops the event (the largest int tick overflowed the span) or one
+// that runs practically forever (tick 9.2e18).
+func TestReplayRejectsExtremeTicks(t *testing.T) {
+	base, err := json.Marshal(baseParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tick := range []string{"9223372036854775807", "9200000000000000000"} {
+		doc := `{"name":"x","base":` + string(base) + `,"events":[{"tick":` + tick + `,"kind":"machine_leave"}]}`
+		if _, err := DecodeTrace(strings.NewReader(doc)); err == nil {
+			t.Errorf("DecodeTrace accepted an event at tick %s", tick)
+		}
+		var tr Trace
+		if err := json.Unmarshal([]byte(doc), &tr); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := Replay(context.Background(), &tr, Options{Seed: 1}); err == nil {
+			t.Errorf("Replay of an event at tick %s succeeded: %d ticks, %d reschedules", tick, len(rep.Samples), rep.Reschedules)
+		}
+	}
+	atCap := &Trace{Base: baseParams(), Events: []Event{{Tick: MaxTick, Kind: KindMachineLeave}}}
+	if err := atCap.Validate(); err != nil {
+		t.Fatalf("Validate rejected an event at MaxTick: %v", err)
+	}
+	for _, tail := range []int{0, 1} { // 0 selects DefaultTailTicks
+		if _, err := Replay(context.Background(), atCap, Options{Seed: 1, TailTicks: tail}); err == nil {
+			t.Errorf("Replay with TailTicks %d past an event at MaxTick succeeded", tail)
+		}
+	}
+	near := &Trace{Base: baseParams(), Events: []Event{{Tick: 3, Kind: KindMachineLeave}}}
+	if _, err := Replay(context.Background(), near, Options{Seed: 1, TailTicks: MaxTick - 2}); err == nil {
+		t.Error("Replay whose last tick plus TailTicks passes MaxTick succeeded")
+	}
+	if err := (TraceParams{Base: baseParams(), Events: MaxEvents + 1}).Validate(); err == nil {
+		t.Error("TraceParams.Validate accepted more than MaxEvents events")
 	}
 }
 

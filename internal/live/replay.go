@@ -32,7 +32,8 @@ type Options struct {
 	// count is an error.
 	StepsPerTick int
 	// TailTicks extends the replay past the last event; zero selects
-	// DefaultTailTicks, negative means none.
+	// DefaultTailTicks, negative means none. The last event's tick plus
+	// TailTicks may not exceed MaxTick.
 	TailTicks int
 	// Cold is the ablation mode: every amendment re-Opens the search
 	// from scratch on the amended problem instead of rebasing the live
@@ -117,6 +118,9 @@ func Replay(ctx context.Context, tr *Trace, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if err := tr.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.TailTicks > MaxTick-tr.LastTick() {
+		return nil, fmt.Errorf("live: last tick %d + TailTicks %d exceeds MaxTick %d", tr.LastTick(), opts.TailTicks, MaxTick)
 	}
 	base, err := workload.Generate(tr.Base)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 type TraceParams struct {
 	// Base generates the workload the scenario starts from.
 	Base workload.Params
-	// Events is the number of churn events (≥ 1).
+	// Events is the number of churn events (1 to MaxEvents).
 	Events int
 	// Seed drives all randomness; equal TraceParams generate equal
 	// traces.
@@ -25,8 +25,8 @@ func (p TraceParams) Validate() error {
 	if err := p.Base.Validate(); err != nil {
 		return err
 	}
-	if p.Events < 1 {
-		return fmt.Errorf("live: Events = %d, want >= 1", p.Events)
+	if p.Events < 1 || p.Events > MaxEvents {
+		return fmt.Errorf("live: Events = %d, want 1 to %d", p.Events, MaxEvents)
 	}
 	return nil
 }

@@ -69,11 +69,16 @@ var NoBound = math.Inf(1)
 // every stride-th prefix. Because a move of the gene at index idx to
 // index q can only change finish times from min(idx, q) onward, a
 // candidate is then answered by replaying only the suffix from the
-// nearest checkpoint at or below that point. Three further mechanisms cut
+// nearest checkpoint at or below that point. Four further mechanisms cut
 // the replayed suffix down (see DESIGN.md):
 //
 //   - a lexicographic early-exit bound aborts a replay once the running
 //     (makespan, total) key provably loses to the best candidate so far;
+//   - right after the moved gene, a "no task can gain" test settles most
+//     losing candidates: when neither the moved task's outgoing data nor
+//     the slot it vacates can let any other task start earlier than in
+//     the base, every other task finishes no earlier than its base finish
+//     time, which bounds the final key from below;
 //   - a machine-scan memo snapshots the state just before the insertion
 //     point q, which is independent of the candidate machine, so the Y
 //     machines of one insertion point replay that prefix once;
@@ -81,6 +86,13 @@ var NoBound = math.Inf(1)
 //     past the moved span, no diverged finish time can reach a remaining
 //     task and every machine still in use has its base ready time — and
 //     fast-forwards the rest from stored base finish times.
+//
+// Every gene the replay does step is sparse where it can be: a gene whose
+// predecessors all kept their base finish times, over edges the candidate
+// does not reprice, starts at max(machine ready, base data-ready time)
+// without walking its predecessors. Once the disturbance is broad — the
+// influence frontier has passed the last checkpoint — tracking it costs
+// more than it saves, and the rest of the string walks every gene.
 //
 // The replay performs bit-for-bit the same float operations, in the same
 // order, as Evaluator would on the materialized moved string, so every
@@ -101,6 +113,26 @@ type DeltaEvaluator struct {
 	baseMs     float64
 	baseTotal  float64
 
+	// baseArr[t] is t's data-ready time under the base: the latest
+	// baseFinish[p] + xfer over its incoming edges (0 for an entry task).
+	// Pin fills it in its edge walk; CommitMove adopts the arrivals its
+	// replay walked.
+	baseArr []float64
+
+	// Facts about the base for the "no task can gain" test, derived by
+	// indexBase on the first bounded replay after a Pin or CommitMove
+	// (indexed records that they are current; unbounded users — SA, GA —
+	// never pay for them). vacateSafe[t] holds when the task after t on
+	// t's base machine is absent or was data-bound (its baseArr ≥
+	// baseFinish[t]), so taking t off that machine lets no task start
+	// earlier. top holds the two largest base finish times, topTask the
+	// task finishing at top[0]; prevOn is indexBase's per-machine scratch.
+	indexed    bool
+	vacateSafe []bool
+	top        [2]float64
+	topTask    taskgraph.TaskID
+	prevOn     []taskgraph.TaskID
+
 	// Checkpoint c holds the evaluation state after the first c*stride
 	// genes of base: ready times per machine (flattened rows of ckReady),
 	// the running makespan and the running finish-time sum. The prefix
@@ -120,6 +152,18 @@ type DeltaEvaluator struct {
 	dirtyFrom int
 	assign    []taskgraph.MachineID // arbitrary-string replay scratch (replayFrom only)
 	ready     []float64             // machine → ready time during a replay
+
+	// A move replay walks a gene's predecessors only when the gene is
+	// stamped: a predecessor's finish time diverged from the base, or an
+	// incoming edge was repriced. Any other gene starts at max(ready,
+	// baseArr). Stamps are epochs, so clearing them is one increment:
+	// stamps made before the insertion point q carry the replay's pre
+	// epoch (the memo hands it to the other machines of that q), stamps
+	// from q on a fresh one per candidate. walkArr[t] is the data-ready
+	// time the last walk of t computed.
+	stamp   []uint64
+	epoch   uint64
+	walkArr []float64
 
 	// lastUse[m] is the last base position occupied by a task on machine
 	// m (-1 when unused). The convergence cutoff ignores ready-time
@@ -148,7 +192,11 @@ type DeltaEvaluator struct {
 	lastMove struct {
 		idx, q int
 		m      taskgraph.MachineID
-		valid  bool
+		// The replay's stamp epochs and dense-tail start, from which
+		// CommitMove tells the genes it walked.
+		pre, cur  uint64
+		denseFrom int
+		valid     bool
 	}
 
 	// memo caches the replay state just before position q of the moved
@@ -159,6 +207,7 @@ type DeltaEvaluator struct {
 		valid        bool
 		idx, q, from int
 		maxInfl      int
+		pre          uint64
 		ms, tot      float64
 		ready        []float64
 	}
@@ -182,6 +231,9 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		basePos:    make([]int, n),
 		baseFinish: make([]float64, n),
 		baseAssign: make([]taskgraph.MachineID, n),
+		baseArr:    make([]float64, n),
+		vacateSafe: make([]bool, n),
+		prevOn:     make([]taskgraph.TaskID, l),
 		stride:     stride,
 		ckReady:    make([]float64, numCk*l),
 		ckMax:      make([]float64, numCk),
@@ -191,6 +243,8 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		ready:      make([]float64, l),
 		lastUse:    make([]int, l),
 		xfer:       make([]float64, g.NumItems()),
+		stamp:      make([]uint64, n),
+		walkArr:    make([]float64, n),
 		lastFrom:   -1,
 	}
 	d.memo.ready = make([]float64, l)
@@ -243,16 +297,20 @@ func (d *DeltaEvaluator) Pin(s String) (makespan, total float64) {
 		d.basePos[t] = i
 		d.baseAssign[t] = m
 		d.lastUse[m] = i
-		start := ready[m]
+		arr := 0.0
 		for _, p := range d.g.Preds(t) {
 			// Predecessors precede t in the string (topological order), so
 			// their finish times and machines are already set.
 			x := d.sys.TransferTime(d.baseAssign[p.Task], m, p.Item)
 			d.xfer[p.Item] = x
-			arr := d.baseFinish[p.Task] + x
-			if arr > start {
-				start = arr
+			if a := d.baseFinish[p.Task] + x; a > arr {
+				arr = a
 			}
+		}
+		d.baseArr[t] = arr
+		start := ready[m]
+		if arr > start {
+			start = arr
 		}
 		f := start + d.sys.ExecTime(m, t)
 		d.baseFinish[t] = f
@@ -264,6 +322,7 @@ func (d *DeltaEvaluator) Pin(s String) (makespan, total float64) {
 		runningTotal += f
 	}
 	d.baseMs, d.baseTotal = runningMax, runningTotal
+	d.indexed = false
 	d.counts.Full++
 	d.counts.Genes += uint64(n)
 	d.dirtyFrom = n
@@ -327,11 +386,12 @@ func (d *DeltaEvaluator) tailConverged(j int) bool {
 // cannot beat that key: when the running makespan strictly exceeds
 // boundMs, or equals it while the running total has reached boundTotal
 // (an exact (makespan, total) tie also loses, because the scan visits
-// candidates in the tie-break order of the final key). A candidate whose
-// final key beats (boundMs, boundTotal) is never aborted. Pass NoBound
-// for either component to disable that part of the abort; SA passes both
-// (Metropolis needs exact values), tabu bounds only the makespan (its
-// selection ignores totals).
+// candidates in the tie-break order of the final key), or when the "no
+// task can gain" lower key (see settled) loses the same way right after
+// the moved gene. A candidate whose final key beats (boundMs, boundTotal)
+// is never aborted. Pass NoBound for either component to disable that
+// part of the abort; SA passes both (Metropolis needs exact values), tabu
+// bounds only the makespan (its selection ignores totals).
 func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs, boundTotal float64) (makespan, total float64, ok bool) {
 	if d.base == nil {
 		panic("schedule: DeltaEvaluator.MoveMakespan called before Pin")
@@ -343,23 +403,27 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 	}
 	// The moved string's genes before position q do not depend on the
 	// candidate machine, so when the previous call evaluated the same
-	// (idx, q) the memoized before-q state replaces the prefix replay.
-	// maxInfl is the conservative frontier of divergence through data
-	// dependencies: one past the furthest position any diverged task's
-	// successor can occupy in the moved string; machine-order divergence
-	// is caught separately by tailConverged's ready comparison.
+	// (idx, q) the memoized before-q state — stamps included — replaces
+	// the prefix replay. maxInfl is the conservative frontier of
+	// divergence through data dependencies: one past the furthest position
+	// any diverged task's successor can occupy in the moved string;
+	// machine-order divergence is caught separately by tailConverged's
+	// ready comparison.
 	var from int
 	var ms, tot float64
+	var pre uint64
 	maxInfl := 0
 	useMemo := d.memo.valid && d.memo.idx == idx && d.memo.q == q
 	if useMemo {
 		from = d.memo.from
 		copy(d.ready, d.memo.ready)
-		ms, tot, maxInfl = d.memo.ms, d.memo.tot, d.memo.maxInfl
+		ms, tot, maxInfl, pre = d.memo.ms, d.memo.tot, d.memo.maxInfl, d.memo.pre
 	} else {
 		d.memo.valid = false
 		from, ms, tot = d.restore(first)
 		d.clean(from)
+		d.epoch++
+		pre = d.epoch
 	}
 	if ms > boundMs || (ms == boundMs && tot >= boundTotal) {
 		// The prefix alone already loses to the bound key; the final
@@ -377,17 +441,17 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		hi = idx
 	}
 
-	// Once the influence frontier passes the last checkpoint no
-	// convergence cutoff can fire anymore, so tracking divergence is pure
-	// overhead — stop paying for it (broad disturbances, e.g. SA's random
-	// machine moves, hit this early). Failed convergence attempts back
-	// off exponentially so a replay that never converges pays O(log)
-	// attempts, not one per checkpoint.
+	// Failed convergence attempts back off exponentially so a replay that
+	// never converges pays O(log) attempts, not one per checkpoint. Once
+	// the influence frontier passes the last checkpoint no attempt can
+	// succeed anymore, and the disturbance is broad: stamping then costs
+	// more than the sparse steps save, so the rest of the string is
+	// replayed densely (see the loop after this one).
 	stride := d.stride
 	lastCk := ((n - 1) / stride) * stride
-	track := maxInfl < lastCk
+	denseFrom := n
 	base, work, ready, xfer := d.base, d.work, d.ready, d.xfer
-	baseFinish, baseAssign := d.baseFinish, d.baseAssign
+	baseFinish, baseArr, stamp, walkArr := d.baseFinish, d.baseArr, d.stamp, d.walkArr
 	steps := 0
 	start := from
 	if useMemo {
@@ -395,6 +459,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 	}
 	nextAttempt := (hi/stride + 1) * stride // first checkpoint past hi
 	attemptGap := stride
+	cur := pre
 	ok = true
 	// Every gene but the moved one keeps its base machine, so the edge
 	// cache holds the right transfer times for all edges except the
@@ -402,7 +467,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 	// the walk ends. Genes before q read none of them — the moved task
 	// is stepped at q and the valid range places every successor after
 	// it — so the memoized prefix is unaffected.
-	moving := movedM != baseAssign[movedT]
+	moving := movedM != d.baseAssign[movedT]
 	if moving {
 		d.priceEdges(movedT, movedM)
 	}
@@ -454,27 +519,16 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 				// Snapshot the machine-independent before-q state for the
 				// other candidate machines of this insertion point.
 				d.memo.idx, d.memo.q, d.memo.from = idx, q, from
-				d.memo.ms, d.memo.tot, d.memo.maxInfl = ms, tot, maxInfl
+				d.memo.ms, d.memo.tot, d.memo.maxInfl, d.memo.pre = ms, tot, maxInfl, pre
 				copy(d.memo.ready, ready)
 				d.memo.valid = true
 			}
-			if track && movedM != baseAssign[movedT] {
-				// A machine change diverges the moved task's successors
-				// through their transfer times even when its finish time
-				// happens to tie the base value exactly, so the
-				// finish-equality test below cannot be trusted for it —
-				// extend the frontier unconditionally. (Per candidate, not
-				// memoized: the machine varies across the memo's users.)
-				for _, sc := range d.g.Succs(movedT) {
-					if sp := d.basePos[sc.Task] + 1; sp > maxInfl {
-						maxInfl = sp
-					}
-				}
-				if maxInfl >= lastCk {
-					track = false
-				}
-			}
+			// Stamps from here on belong to this candidate alone. The
+			// moved gene always walks: its incoming edges may be repriced.
+			d.epoch++
+			cur = d.epoch
 			t, mm = movedT, movedM
+			stamp[t] = cur
 		case p >= idx && p < q:
 			t, mm = base[p+1].Task, base[p+1].Machine
 		case p > q && p <= idx:
@@ -484,26 +538,26 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		}
 
 		st := ready[mm]
-		for _, pr := range d.g.Preds(t) {
-			arr := work[pr.Task] + xfer[pr.Item]
-			if arr > st {
-				st = arr
+		if s := stamp[t]; s == cur || s == pre {
+			a := 0.0
+			for _, pr := range d.g.Preds(t) {
+				if arr := work[pr.Task] + xfer[pr.Item]; arr > a {
+					a = arr
+				}
 			}
+			walkArr[t] = a
+			if a > st {
+				st = a
+			}
+		} else if a := baseArr[t]; a > st {
+			// Undisturbed inputs: the walk would compute exactly the
+			// base's data-ready time.
+			st = a
 		}
 		f := st + d.sys.ExecTime(mm, t)
 		work[t] = f
 		ready[mm] = f
 		steps++
-		if track && f != baseFinish[t] {
-			for _, sc := range d.g.Succs(t) {
-				if sp := d.basePos[sc.Task] + 1; sp > maxInfl {
-					maxInfl = sp
-				}
-			}
-			if maxInfl >= lastCk {
-				track = false
-			}
-		}
 		if f > ms {
 			ms = f
 			if ms > boundMs {
@@ -516,10 +570,67 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 			ok = false
 			break
 		}
+		if p == q && boundMs < NoBound && d.settled(idx, q, f, moving, ms, tot, boundMs, boundTotal) {
+			ok = false
+			break
+		}
+		// A diverged finish time — or, after a machine change, the moved
+		// task's repriced outgoing edges even at a tied finish — disturbs
+		// the successors: stamp them and push the influence frontier. A
+		// pre stamp stays: the memo's other machines still need it.
+		if f != baseFinish[t] || (p == q && moving) {
+			for _, sc := range d.g.Succs(t) {
+				if stamp[sc.Task] != pre {
+					stamp[sc.Task] = cur
+				}
+				if sp := d.basePos[sc.Task] + 1; sp > maxInfl {
+					maxInfl = sp
+				}
+			}
+			if p > q && maxInfl >= lastCk {
+				denseFrom = p + 1
+				break
+			}
+		}
+	}
+	// The dense tail: past q (so the memo never sees it) once the
+	// disturbance is broad, every gene walks its predecessors and nothing
+	// is stamped, since no sparse step or convergence attempt follows.
+	for p := denseFrom; ok && p < n; p++ {
+		g := base[p]
+		if p <= idx {
+			g = base[p-1]
+		}
+		t := g.Task
+		st := ready[g.Machine]
+		a := 0.0
+		for _, pr := range d.g.Preds(t) {
+			if arr := work[pr.Task] + xfer[pr.Item]; arr > a {
+				a = arr
+			}
+		}
+		walkArr[t] = a
+		if a > st {
+			st = a
+		}
+		f := st + d.sys.ExecTime(g.Machine, t)
+		work[t] = f
+		ready[g.Machine] = f
+		steps++
+		if f > ms {
+			ms = f
+			if ms > boundMs {
+				ok = false
+			}
+		}
+		tot += f
+		if ms == boundMs && tot >= boundTotal {
+			ok = false
+		}
 	}
 
 	if moving {
-		d.priceEdges(movedT, baseAssign[movedT])
+		d.priceEdges(movedT, d.baseAssign[movedT])
 	}
 	d.counts.Delta++
 	d.counts.Genes += uint64(steps)
@@ -530,17 +641,78 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		return 0, 0, false
 	}
 	d.lastFrom = from
-	d.lastMove.idx, d.lastMove.q, d.lastMove.m, d.lastMove.valid = idx, q, m, true
+	d.lastMove.idx, d.lastMove.q, d.lastMove.m = idx, q, m
+	d.lastMove.pre, d.lastMove.cur, d.lastMove.denseFrom = pre, cur, denseFrom
+	d.lastMove.valid = true
 	return ms, tot, true
+}
+
+// settled is the "no task can gain" test, run once per candidate right
+// after its moved gene t (base index idx, now at q) finished at f with
+// running key (ms, tot). It reports whether the candidate's final key
+// provably loses to (boundMs, boundTotal).
+//
+// A task other than t could start earlier than in the base only through
+// t's outgoing data or through the slot t vacates on its base machine;
+// inserting t on m only delays tasks. So when (a) every successor's data
+// from t arrives no earlier than in the base and (b) the task after t on
+// its base machine is absent or was data-bound, induction over the moved
+// string (start times are maxes of sums) shows that every task but t
+// finishes no earlier than in the base. The final makespan is then at
+// least max(ms, the largest base finish among tasks ≠ t), and — IEEE
+// addition being monotone — the final total at least tot plus the
+// remaining genes' base finish times added in the moved string's order.
+func (d *DeltaEvaluator) settled(idx, q int, f float64, moving bool, ms, tot, boundMs, boundTotal float64) bool {
+	if !d.indexed {
+		d.indexBase()
+	}
+	t := d.base[idx].Task
+	if !d.vacateSafe[t] { // (b)
+		return false
+	}
+	fb, m0 := d.baseFinish[t], d.baseAssign[t]
+	for _, sc := range d.g.Succs(t) { // (a); the cache holds the candidate's price
+		xb := d.xfer[sc.Item]
+		if moving {
+			xb = d.sys.TransferTime(m0, d.baseAssign[sc.Task], sc.Item)
+		}
+		if f+d.xfer[sc.Item] < fb+xb {
+			return false
+		}
+	}
+	low := d.top[0]
+	if t == d.topTask {
+		low = d.top[1]
+	}
+	if ms > low {
+		low = ms
+	}
+	if low != boundMs || boundTotal == NoBound {
+		return low > boundMs
+	}
+	// The moved string holds base[q..idx-1] then base[idx+1..] after q
+	// when q < idx, and base[q+1..] otherwise.
+	rest := q + 1
+	if q < idx {
+		for j := q; j < idx && tot < boundTotal; j++ {
+			tot += d.baseFinish[d.base[j].Task]
+		}
+		rest = idx + 1
+	}
+	for j := rest; j < len(d.base) && tot < boundTotal; j++ {
+		tot += d.baseFinish[d.base[j].Task]
+	}
+	return tot >= boundTotal
 }
 
 // CommitMove rebases the evaluator onto the string the immediately
 // preceding successful MoveMakespan evaluated, without re-evaluating
-// anything: the work array already holds every affected finish time, so
-// only the base string, positions and checkpoints need updating — a walk
-// of the suffix with no predecessor work — plus the cached transfer times
-// of the moved task's own edges. It returns the new base's makespan and
-// total finish time (identical to what that MoveMakespan returned).
+// anything: the work array already holds every affected finish time and
+// walkArr the data-ready time of every gene whose inputs changed, so only
+// the base string, positions, checkpoints and data-ready times need
+// updating — a walk of the suffix with no predecessor work — plus the
+// cached transfer times of the moved task's own edges. It returns the new base's makespan and total finish time
+// (identical to what that MoveMakespan returned).
 //
 // This is the accept path of SA and tabu: evaluate a candidate with
 // MoveMakespan, and if the search adopts it, CommitMove instead of a full
@@ -569,17 +741,21 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 	UpdatePositions(d.basePos, d.base, idx, q)
 
 	// One walk of [from, n) — every shifted position is ≥ from because
-	// from ≤ min(idx, q) — adopts the replayed finish times, re-derives
-	// the checkpoints by rolling the known values forward (bookkeeping,
-	// not evaluation), and refreshes the machine-usage positions the
-	// convergence cutoff consults. A machine whose tasks all sit before
-	// from keeps its lastUse; one that lost its last task to the move may
-	// keep a stale-high value, which only makes tailConverged check an
-	// extra machine — conservative, never unsound.
+	// from ≤ min(idx, q) — adopts the replayed finish times and the
+	// data-ready times of the genes the replay walked (stamped, or in the
+	// dense tail; a gene it stepped sparsely, or fast-forwarded, kept its
+	// inputs and so its baseArr),
+	// re-derives the checkpoints by rolling the known values forward
+	// (bookkeeping, not evaluation), and refreshes the machine-usage
+	// positions the convergence cutoff consults. A machine whose tasks all
+	// sit before from keeps its lastUse; one that lost its last task to the
+	// move may keep a stale-high value, which only makes tailConverged
+	// check an extra machine — conservative, never unsound.
 	l := d.sys.NumMachines()
 	c := from / d.stride
 	copy(d.ready, d.ckReady[c*l:(c+1)*l])
 	runningMax, runningTotal := d.ckMax[c], d.ckTotal[c]
+	pre, cur, dense := d.lastMove.pre, d.lastMove.cur, d.lastMove.denseFrom
 	for j := from; j < n; j++ {
 		if j%d.stride == 0 {
 			cc := j / d.stride
@@ -590,6 +766,9 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 		g := d.base[j]
 		f := d.work[g.Task]
 		d.baseFinish[g.Task] = f
+		if s := d.stamp[g.Task]; s == cur || s == pre || j >= dense {
+			d.baseArr[g.Task] = d.walkArr[g.Task]
+		}
 		d.lastUse[g.Machine] = j
 		d.ready[g.Machine] = f
 		if f > runningMax {
@@ -599,10 +778,37 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 	}
 	d.dirtyFrom = n
 	d.baseMs, d.baseTotal = runningMax, runningTotal
+	d.indexed = false
 	d.lastFrom = n
 	d.lastMove.valid = false
 	d.memo.valid = false
 	return d.baseMs, d.baseTotal
+}
+
+// indexBase re-derives the base facts the "no task can gain" test reads —
+// vacateSafe per task and the two largest finish times — from the base
+// string, its finish times and its data-ready times, in one walk with no
+// predecessor work.
+func (d *DeltaEvaluator) indexBase() {
+	prev := d.prevOn
+	for m := range prev {
+		prev[m] = -1
+	}
+	d.top, d.topTask, d.indexed = [2]float64{}, -1, true
+	for _, g := range d.base {
+		t := g.Task
+		if u := prev[g.Machine]; u >= 0 {
+			d.vacateSafe[u] = d.baseArr[t] >= d.baseFinish[u]
+		}
+		prev[g.Machine] = t
+		d.vacateSafe[t] = true
+		switch f := d.baseFinish[t]; {
+		case f > d.top[0]:
+			d.top[1], d.top[0], d.topTask = d.top[0], f, t
+		case f > d.top[1]:
+			d.top[1] = f
+		}
+	}
 }
 
 // priceEdges caches the transfer times of t's incoming and outgoing edges

@@ -1,6 +1,7 @@
 package schedule_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -207,5 +208,140 @@ func TestMetamorphicPowerOfTwoScaling(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 			t.Errorf("2^%d: %v", k, err)
 		}
+	}
+}
+
+// relabelTasks returns w with task t renamed perm[t]: every data item
+// keeps its ID, size and transfer row but joins the renamed endpoints, and
+// exec column t moves to column perm[t]. Adjacency lists are sorted by
+// task ID, so the renamed graph also walks each task's edges in another
+// order — which max-based start times must not notice.
+func relabelTasks(w *workload.Workload, perm []taskgraph.TaskID) *workload.Workload {
+	g := w.Graph
+	n := g.NumTasks()
+	b := taskgraph.NewBuilder(n)
+	b.AddTasks(n)
+	for _, it := range g.Items() {
+		b.AddItem(perm[it.Producer], perm[it.Consumer], it.Size)
+	}
+	exec := w.System.ExecMatrix()
+	for m, row := range exec {
+		rel := make([]float64, n)
+		for t, x := range row {
+			rel[perm[t]] = x
+		}
+		exec[m] = rel
+	}
+	return &workload.Workload{
+		Graph:  b.MustBuild(),
+		System: platform.MustNew(n, g.NumItems(), exec, w.System.TransferMatrix()),
+	}
+}
+
+// boundedScan is SE's allocation scan of gene idx: every valid position ×
+// every machine, each replay bounded by the best (makespan, total) key so
+// far. It returns the first candidate with the least key.
+func boundedScan(d *schedule.DeltaEvaluator, idx, lo, hi, l int) (q int, m taskgraph.MachineID) {
+	bestMs, bestTot := schedule.NoBound, schedule.NoBound
+	q = -1
+	for qq := lo; qq <= hi; qq++ {
+		for mm := 0; mm < l; mm++ {
+			ms, tot, ok := d.MoveMakespan(idx, qq, taskgraph.MachineID(mm), bestMs, bestTot)
+			if ok && (q < 0 || ms < bestMs || (ms == bestMs && tot < bestTot)) {
+				bestMs, bestTot, q, m = ms, tot, qq, taskgraph.MachineID(mm)
+			}
+		}
+	}
+	return q, m
+}
+
+// TestMetamorphicTaskRelabelling: renaming the tasks — graph endpoints,
+// exec columns and the string's genes alike — describes the same schedule
+// with every gene at its old position, so every answer must be
+// bit-identical and every finish time permuted. The delta evaluator keeps
+// state by task (finish and data-ready times, stamps) and by position
+// (checkpoints, the memo, the influence frontier); a value filed under the
+// wrong index shows up as a diverging answer, scan winner or effort count.
+func TestMetamorphicTaskRelabelling(t *testing.T) {
+	f := func(seed int64) bool {
+		w := randomWorkload(seed)
+		rng := rand.New(rand.NewSource(seed ^ 0x7a5c))
+		n, l := w.Graph.NumTasks(), w.System.NumMachines()
+		perm := make([]taskgraph.TaskID, n)
+		for i, p := range rng.Perm(n) {
+			perm[i] = taskgraph.TaskID(p)
+		}
+		rw := relabelTasks(w, perm)
+		relabel := func(s schedule.String) schedule.String {
+			rs := s.Clone()
+			for i := range rs {
+				rs[i].Task = perm[rs[i].Task]
+			}
+			return rs
+		}
+		s := randomSolution(w, rng)
+		rs := relabel(s)
+
+		fin, relFin := make([]float64, n), make([]float64, n)
+		permuted := func(what string) {
+			t.Helper()
+			for task := range fin {
+				if relFin[perm[task]] != fin[task] {
+					t.Fatalf("seed %d %s: finish[s%d] = %v relabelled, finish[s%d] = %v original",
+						seed, what, perm[task], relFin[perm[task]], task, fin[task])
+				}
+			}
+		}
+		same := func(what string, ms, tot, rms, rtot float64) {
+			t.Helper()
+			if ms != rms || tot != rtot {
+				t.Fatalf("seed %d %s: (%v, %v) relabelled, (%v, %v) original", seed, what, rms, rtot, ms, tot)
+			}
+		}
+
+		e, re := schedule.NewEvaluator(w.Graph, w.System), schedule.NewEvaluator(rw.Graph, rw.System)
+		ms, tot := e.MakespanTotal(s)
+		rms, rtot := re.MakespanTotal(rs)
+		same("Evaluator", ms, tot, rms, rtot)
+		e.FinishInto(s, fin)
+		re.FinishInto(rs, relFin)
+		permuted("Evaluator.FinishInto")
+
+		d, rd := schedule.NewDeltaEvaluator(w.Graph, w.System), schedule.NewDeltaEvaluator(rw.Graph, rw.System)
+		d.Pin(s)
+		rd.Pin(rs)
+		pos := make([]int, n)
+		for trial := 0; trial < 6; trial++ {
+			s.Positions(pos)
+			idx, q, m := metamorphicMove(w, s, pos, rng)
+			ms, tot, _ := d.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+			rms, rtot, _ := rd.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+			same(fmt.Sprintf("MoveMakespan(%d,%d,m%d)", idx, q, m), ms, tot, rms, rtot)
+			d.FinishInto(fin)
+			rd.FinishInto(relFin)
+			permuted("DeltaEvaluator.FinishInto")
+
+			// A bounded scan of one gene, its winner committed on both.
+			idx = rng.Intn(n)
+			lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
+			q, m = boundedScan(d, idx, lo, hi, l)
+			if rq, rm := boundedScan(rd, idx, lo, hi, l); rq != q || rm != m {
+				t.Fatalf("seed %d: scan of gene %d picked (%d, m%d) relabelled, (%d, m%d) original", seed, idx, rq, rm, q, m)
+			}
+			if c, rc := d.Counts(), rd.Counts(); c != rc {
+				t.Fatalf("seed %d: scan of gene %d: counts %+v relabelled, %+v original", seed, idx, rc, c)
+			}
+			d.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+			rd.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+			ms, tot = d.CommitMove(idx, q, m)
+			rms, rtot = rd.CommitMove(idx, q, m)
+			same(fmt.Sprintf("CommitMove(%d,%d,m%d)", idx, q, m), ms, tot, rms, rtot)
+			s = schedule.Moved(s, idx, q, m)
+			rs = relabel(s)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }

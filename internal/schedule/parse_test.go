@@ -69,3 +69,37 @@ func TestParseAcceptsFormatLayout(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse feeds arbitrary text to Parse, the wire decoder of solution
+// strings. It must never panic, and a string it accepts must come back
+// unchanged through Format and Parse.
+func FuzzParse(f *testing.F) {
+	for _, text := range []string{
+		"s0 m0 | s1 m1 | s2 m0",
+		" s12  m3 |s4 m0 ",
+		"s0 m0 || s1 m1",
+		"s-1 m0",
+		"s+7 m007",
+		"s99999999999999999999 m0",
+	} {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := Parse(text)
+		if err != nil {
+			return
+		}
+		back, err := Parse(s.Format())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %v, but Parse(Format) fails: %v", text, s, err)
+		}
+		if len(back) != len(s) {
+			t.Fatalf("Parse(Format(%v)) has %d genes, want %d", s, len(back), len(s))
+		}
+		for i := range s {
+			if back[i] != s[i] {
+				t.Fatalf("Parse(Format(%v))[%d] = %+v, want %+v", s, i, back[i], s[i])
+			}
+		}
+	})
+}

@@ -229,7 +229,24 @@ func (m *Manager) recoverSessions() {
 // be copied between hosts), so the workload, solutions and search
 // snapshot are validated exactly like a client upload. A lost revival
 // race returns the session the winner installed.
+//
+// A session still being spilled is revived only once its spill is done:
+// the spilling copy may be finishing a request whose result the stored
+// record does not hold yet, and a copy revived from that record would
+// lose it for good. The copy's worker stops only in spill's finish, after
+// the Put — or after a Delete, which removed the record.
 func (m *Manager) reviveFromStore(id string) (*Session, error) {
+	m.mu.Lock()
+	var spilling *Session
+	for sp := range m.spilling {
+		if sp.id == id {
+			spilling = sp
+		}
+	}
+	m.mu.Unlock()
+	if spilling != nil {
+		<-spilling.done
+	}
 	rec, ok := m.store.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("serve: %w: %q", ErrNotFound, id)

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -410,5 +411,88 @@ func TestDeleteDuringSpillStaysDeleted(t *testing.T) {
 	}
 	if _, err := mgr.Info(a.ID); !errors.Is(err, serve.ErrNotFound) {
 		t.Errorf("Info after Delete: %v, want ErrNotFound", err)
+	}
+}
+
+// TestRequestDuringSpillKeepsInFlightResult: a request for a session that
+// is mid-spill revives it only after the spill is done. Session A is busy
+// with a run when Create(B) evicts it at the cap of one, so the spill
+// waits for A's worker with A already out of the table and its stored
+// record still the one from before the run. Info(A) in that window must
+// not revive that stale record: the revived copy would miss the run, and
+// its later writes would replace the spill's record, losing the run for
+// good.
+func TestRequestDuringSpillKeepsInFlightResult(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mgr := serve.NewManager(serve.Options{Store: st, MaxSessions: 1})
+	defer mgr.Close()
+	a, err := mgr.Create(serve.CreateSessionRequest{Preset: "small"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ran := make(chan error, 1)
+	go func() {
+		_, err := mgr.Run(context.Background(), a.ID,
+			serve.RunRequest{Algorithm: "se", Seed: 1, MaxIterations: 5},
+			func(serve.ProgressEvent) { once.Do(func() { close(started); <-release }) })
+		ran <- err
+	}()
+	<-started
+	created := make(chan error, 1)
+	go func() {
+		_, err := mgr.Create(serve.CreateSessionRequest{Preset: "small"})
+		created <- err
+	}()
+	for evicted := false; !evicted; {
+		evicted = true
+		for _, s := range mgr.List() {
+			evicted = evicted && s.ID != a.ID
+		}
+	}
+	type infoResult struct {
+		info serve.SessionInfo
+		err  error
+	}
+	mid := make(chan infoResult, 1)
+	go func() {
+		info, err := mgr.Info(a.ID)
+		mid <- infoResult{info, err}
+	}()
+	// Info must wait for the spill, which waits for the blocked run. A
+	// reply before the run is released came from the stale record; the
+	// grace period only gives Info time to reach the window, and a late
+	// Info passes either way.
+	early := false
+	select {
+	case r := <-mid:
+		early = true
+		t.Errorf("Info during the spill answered at once (runs %d, err %v); want it to wait for the spill", r.info.Runs, r.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-ran; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := <-created; err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if !early {
+		if r := <-mid; r.err != nil || r.info.Runs != 1 {
+			t.Errorf("Info during the spill = runs %d, err %v; want the spilled run (runs 1)", r.info.Runs, r.err)
+		}
+	}
+	info, err := mgr.Info(a.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Runs != 1 {
+		t.Errorf("Info after the spill reports runs %d, want 1: the in-flight run was lost", info.Runs)
 	}
 }
