@@ -257,25 +257,25 @@ func BenchmarkDeltaMoveMakespan(b *testing.B) {
 
 // BenchmarkSEAllocationDeltaVsFull ablates the incremental evaluation
 // engine on the Figure-3 workload (large, highly connected — the same
-// parameters experiments.Fig3 uses at paper scale). The search is
-// byte-identical under both engines; the reported metric is the genes
-// evaluated per SE allocation sweep, the quantity the delta engine
-// shrinks (DESIGN.md §"Incremental evaluation").
+// parameters experiments.Fig3 uses at paper scale): "full" runs the same
+// search inside a schedule.Reference scope, where every move is scored by
+// one full pass. The search is byte-identical under both; the reported
+// metric is the genes evaluated per SE allocation sweep, the quantity the
+// delta engine shrinks (DESIGN.md §"Incremental evaluation").
 func BenchmarkSEAllocationDeltaVsFull(b *testing.B) {
 	w := benchWorkload(100, 20)
 	for _, tc := range []struct {
 		name string
-		full bool
+		run  func(func())
 	}{
-		{"delta", false},
-		{"full", true},
+		{"delta", func(f func()) { f() }},
+		{"full", schedule.Reference},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			opts := []scheduler.Option{scheduler.WithSeed(1), scheduler.WithY(9)}
-			if tc.full {
-				opts = append(opts, scheduler.WithFullEval())
-			}
-			res := benchSchedule(b, "se", w, scheduler.Budget{MaxIterations: b.N}, opts...)
+			var res *scheduler.Result
+			tc.run(func() {
+				res = benchSchedule(b, "se", w, scheduler.Budget{MaxIterations: b.N}, scheduler.WithSeed(1), scheduler.WithY(9))
+			})
 			b.ReportMetric(float64(res.GenesEvaluated)/float64(b.N), "genes/sweep")
 			reportNsPerGene(b, res.GenesEvaluated)
 			b.ReportMetric(float64(res.Evaluations)/float64(b.N), "full-evals/sweep")

@@ -84,7 +84,6 @@ func main() {
 		workers     = flag.String("workers", "", "an integer: parallel workers for SE allocation / GA fitness (0 = serial; for se-shard, caps concurrent region sweeps) — or, for se-dist, a comma-separated list of mshd worker URLs (host:port or http://host:port)")
 		shards      = flag.Int("shards", 0, "se-shard/se-dist DAG region count (0 = adaptive from depth/coupling/GOMAXPROCS, clamped to DAG depth)")
 		roundBatch  = flag.Int("round-batch", 0, "se-dist generations per worker RPC round (0 = 1)")
-		full        = flag.Bool("full-eval", false, "disable the incremental evaluation engine (identical results, more work)")
 		jsonOut     = flag.Bool("json", false, "emit only a JSON array of results in the service wire schema (internal/serve)")
 		server      = flag.String("server", "", "run inside a session of the mshd daemon at this URL instead of in-process")
 		verbose     = flag.Bool("v", false, "print the full schedule and evaluation counts")
@@ -178,7 +177,6 @@ func main() {
 			Shards:     *shards,
 			WorkerURLs: workerURLs,
 			RoundBatch: *roundBatch,
-			FullEval:   *full,
 		}
 		if *budget > 0 {
 			// Float milliseconds: sub-ms -budget values survive exactly.

@@ -3,8 +3,9 @@
 // the in-process resumable-search API, and emits one versioned ledger
 // entry per (preset, algorithm) cell — ns/op, allocs/op, bytes/op,
 // steps/s, genes/s, snapshot encode/decode cost, and the final makespan
-// and evaluation-effort counts as correctness goldens. Served and
-// distributed search are measured end to end over real HTTP by the
+// and evaluation-effort counts as correctness goldens. Each cell steps
+// five fresh searches and records the run with the median ns/op. Served
+// and distributed search are measured end to end over real HTTP by the
 // mshdbench module instead.
 //
 // The ledger is a committed BENCH_<n>.json file; -check diffs a fresh run
@@ -16,8 +17,8 @@
 //
 // Usage:
 //
-//	go run ./cmd/perf -o BENCH_19.json -ledger 19   # write a full ledger
-//	go run ./cmd/perf -quick -check BENCH_19.json   # CI regression gate
+//	go run ./cmd/perf -o BENCH_20.json -ledger 20   # write a full ledger
+//	go run ./cmd/perf -quick -check BENCH_20.json   # CI regression gate
 //	go run ./cmd/perf -presets large -algos se,ga -cpuprofile cpu.out
 //
 // Determinism: every cell is driven by a fixed seed and a pinned shard
@@ -28,6 +29,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -35,6 +37,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -215,14 +218,57 @@ func main() {
 	fmt.Fprintf(os.Stderr, "perf: wrote %d entries to %s\n", len(led.Entries), *out)
 }
 
-// runCell drives one algorithm on one preset through the registry's
-// resumable-search API: a fixed number of Step calls bracketed by memory
-// and clock measurements, then a snapshot encode/decode timing pass.
+// cellRuns is the number of fresh searches each cell steps. A single
+// timed run is at the mercy of one scheduling hiccup; the median of five
+// is not, and five identical runs also prove the goldens repeat.
+const cellRuns = 5
+
+// runCell steps cellRuns fresh searches of one algorithm on one preset
+// and writes the run with the median ns/op, timing fields and allocation
+// counts alike, then times snapshot encode/decode on that run's search.
+// The goldens (makespan, genes, snapshot size) must agree across the runs.
 func runCell(w *workload.Workload, preset, algo string, steps int, seed int64, shards int) (Entry, error) {
+	type run struct {
+		entry  Entry
+		search scheduler.Search
+	}
+	runs := make([]run, 0, cellRuns)
+	for len(runs) < cellRuns {
+		e, search, err := stepCell(w, preset, algo, steps, seed, shards)
+		if err != nil {
+			return Entry{}, err
+		}
+		if r := runs; len(r) > 0 && (e.Makespan != r[0].entry.Makespan || e.GenesEvaluated != r[0].entry.GenesEvaluated || e.SnapshotBytes != r[0].entry.SnapshotBytes) {
+			return Entry{}, fmt.Errorf("run %d (makespan %v, genes %d, snapshot %d bytes) differs from run 0 (%v, %d, %d)",
+				len(r), e.Makespan, e.GenesEvaluated, e.SnapshotBytes, r[0].entry.Makespan, r[0].entry.GenesEvaluated, r[0].entry.SnapshotBytes)
+		}
+		runs = append(runs, run{e, search})
+	}
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.entry.NsPerOp, b.entry.NsPerOp) })
+	entry, search := runs[cellRuns/2].entry, runs[cellRuns/2].search
+
+	snapBytes, encodeNs, err := timeEncode(func() ([]byte, error) { return search.Snapshot() })
+	if err != nil {
+		return Entry{}, fmt.Errorf("snapshot: %w", err)
+	}
+	entry.SnapshotEncodeNs = encodeNs
+	entry.SnapshotDecodeNs, err = timeOp(func() error {
+		_, err := scheduler.Restore(algo, snapBytes, w.Graph, w.System)
+		return err
+	})
+	if err != nil {
+		return Entry{}, fmt.Errorf("restore: %w", err)
+	}
+	return entry, nil
+}
+
+// stepCell opens one search and drives it a fixed number of Step calls
+// bracketed by memory and clock measurements, then records its goldens.
+func stepCell(w *workload.Workload, preset, algo string, steps int, seed int64, shards int) (Entry, scheduler.Search, error) {
 	search, err := scheduler.Open(algo, w.Graph, w.System,
 		scheduler.WithSeed(seed), scheduler.WithShards(shards))
 	if err != nil {
-		return Entry{}, err
+		return Entry{}, nil, err
 	}
 	ctx := context.Background()
 
@@ -256,21 +302,12 @@ func runCell(w *workload.Workload, preset, algo string, steps int, seed int64, s
 	if elapsed > 0 {
 		entry.GenesPerSec = float64(res.GenesEvaluated) / elapsed.Seconds()
 	}
-
-	snapBytes, encodeNs, err := timeEncode(func() ([]byte, error) { return search.Snapshot() })
+	snapBytes, err := search.Snapshot()
 	if err != nil {
-		return Entry{}, fmt.Errorf("snapshot: %w", err)
+		return Entry{}, nil, fmt.Errorf("snapshot: %w", err)
 	}
 	entry.SnapshotBytes = len(snapBytes)
-	entry.SnapshotEncodeNs = encodeNs
-	entry.SnapshotDecodeNs, err = timeOp(func() error {
-		_, err := scheduler.Restore(algo, snapBytes, w.Graph, w.System)
-		return err
-	})
-	if err != nil {
-		return Entry{}, fmt.Errorf("restore: %w", err)
-	}
-	return entry, nil
+	return entry, search, nil
 }
 
 // snapReps bounds the snapshot timing loops; the minimum over reps filters

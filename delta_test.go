@@ -1,7 +1,8 @@
 // Enforces the incremental evaluation engine's acceptance bar outside
 // benchmark runs: on the Figure-3 workload class at paper scale, an SE
 // allocation sweep must evaluate at least 3.5× fewer genes with the delta
-// engine than with full evaluation — at byte-identical search results.
+// engine than with full evaluation (the same search inside a
+// schedule.Reference scope) — at byte-identical search results.
 // The engine reaches about 4.1×; without the "no task can gain" abort it
 // falls back to about 2.3×. BenchmarkSEAllocationDeltaVsFull reports the
 // same quantities as metrics; this test fails the build if the saving
@@ -12,6 +13,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/schedule"
 	"repro/internal/scheduler"
 )
 
@@ -28,7 +30,9 @@ func TestDeltaEngineHalvesGenesPerAllocationSweep(t *testing.T) {
 		}
 		return res
 	}
-	delta, fullRes := run(), run(scheduler.WithFullEval())
+	delta := run()
+	var fullRes *scheduler.Result
+	schedule.Reference(func() { fullRes = run() })
 
 	if delta.Makespan != fullRes.Makespan {
 		t.Fatalf("delta best makespan %v != full %v", delta.Makespan, fullRes.Makespan)

@@ -56,14 +56,6 @@ type Options struct {
 	// reduction); only wall-clock time changes.
 	Workers int
 
-	// FullEval disables the incremental evaluation engine
-	// (schedule.DeltaEvaluator) and scores every allocation candidate with
-	// a full left-to-right pass, the pre-optimization behaviour. The
-	// search is byte-identical either way — the delta engine is an exact
-	// evaluator — so this exists only for ablations and differential
-	// tests.
-	FullEval bool
-
 	// PerturbAfter, when > 0, kicks the search out of local optima: after
 	// this many consecutive non-improving generations the current solution
 	// is shuffled with random valid moves (the §4.2 perturbation) and the

@@ -6,6 +6,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/schedule"
@@ -122,11 +123,17 @@ func TestAllocateRestrictsToTopYMachines(t *testing.T) {
 }
 
 func TestPoolBestMoveMatchesSerial(t *testing.T) {
-	// All four candidate scans — full serial, delta serial, full pool,
-	// delta pool — must pick the identical winning move.
+	// All four candidate scans — serial and pooled, each on replaying and
+	// on reference (full-pass) evaluators — must pick the identical
+	// winning move.
 	e, w := testEngine(t, Options{Seed: 13})
-	deltaPool := newAllocPool(w.Graph, w.System, 3, false)
-	fullPool := newAllocPool(w.Graph, w.System, 3, true)
+	deltaPool := newAllocPool(w.Graph, w.System, 3)
+	var ref *schedule.DeltaEvaluator
+	var fullPool *allocPool
+	schedule.Reference(func() {
+		ref = schedule.NewDeltaEvaluator(w.Graph, w.System)
+		fullPool = newAllocPool(w.Graph, w.System, 3)
+	})
 	rng := rand.New(rand.NewSource(99))
 	pos := make([]int, w.Graph.NumTasks())
 	for trial := 0; trial < 50; trial++ {
@@ -135,8 +142,8 @@ func TestPoolBestMoveMatchesSerial(t *testing.T) {
 		lo, hi := schedule.ValidRange(w.Graph, e.cur, pos, idx)
 		machines := w.System.TopMachines(e.cur[idx].Task, 3)
 
-		sm, sq, smi := bestMoveSerial(e.eval, e.cur, e.moveBuf, idx, lo, hi, machines)
-		dm, dq, dmi := bestMoveDelta(e.delta, e.cur, idx, lo, hi, machines)
+		sm, sq, smi := BestMove(ref, e.cur, idx, lo, hi, machines)
+		dm, dq, dmi := BestMove(e.delta, e.cur, idx, lo, hi, machines)
 		if sm != dm || sq != dq || smi != dmi {
 			t.Fatalf("trial %d: serial (%v,%d,%d) != delta (%v,%d,%d)", trial, sm, sq, smi, dm, dq, dmi)
 		}
@@ -155,14 +162,14 @@ func TestPoolBestMoveMatchesSerial(t *testing.T) {
 func TestPoolMoreWorkersThanCandidates(t *testing.T) {
 	// Chunking must handle pools larger than the candidate count.
 	e, w := testEngine(t, Options{Seed: 17})
-	pool := newAllocPool(w.Graph, w.System, 16, false)
+	pool := newAllocPool(w.Graph, w.System, 16)
 	pos := make([]int, w.Graph.NumTasks())
 	e.cur.Positions(pos)
 	idx := 0
 	lo, hi := schedule.ValidRange(w.Graph, e.cur, pos, idx)
 	machines := w.System.TopMachines(e.cur[idx].Task, 1)
 	ms, q, mi := pool.bestMove(e.cur, idx, lo, hi, machines)
-	sm, sq, smi := bestMoveSerial(e.eval, e.cur, e.moveBuf, idx, lo, hi, machines)
+	sm, sq, smi := BestMove(e.delta, e.cur, idx, lo, hi, machines)
 	if ms != sm || q != sq || mi != smi {
 		t.Errorf("tiny candidate set: pool (%v,%d,%d) != serial (%v,%d,%d)", ms, q, mi, sm, sq, smi)
 	}
@@ -220,5 +227,37 @@ func TestPerturbAfterKicksChangeCurrent(t *testing.T) {
 	}
 	if !kicked {
 		t.Error("no perturbation visible in the trace")
+	}
+}
+
+func TestPoolBuildsOnlyUsableWorkers(t *testing.T) {
+	// A pool of more workers than half the largest scan always scans on
+	// worker 0, so it is built at the smallest such size and runs exactly
+	// like the serial engine, effort ledger included. The worker count
+	// also arrives from snapshots, whose restore must stay cheap.
+	e, w := testEngine(t, Options{Seed: 3, Workers: 10_000})
+	if got, want := len(e.pool.workers), w.Graph.NumTasks()*w.System.NumMachines()/2+1; got != want {
+		t.Fatalf("pool has %d workers, want %d", got, want)
+	}
+	data, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreEngine(data, w.Graph, w.System)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.opts.Workers != 10_000 || len(restored.pool.workers) != len(e.pool.workers) {
+		t.Fatalf("restored Workers %d with %d pool workers", restored.opts.Workers, len(restored.pool.workers))
+	}
+	serial, _ := testEngine(t, Options{Seed: 3})
+	for i := 0; i < 5; i++ {
+		e.Step()
+		serial.Step()
+	}
+	got, want := e.Result(), serial.Result()
+	got.Elapsed, want.Elapsed = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("oversized pool %+v != serial %+v", got, want)
 	}
 }

@@ -10,17 +10,11 @@ import (
 
 // allocPool evaluates the candidate (position, machine) combinations of one
 // allocation step across a fixed set of worker goroutines, each owning a
-// private Evaluator and move buffer. Reduction uses the lexicographic key
-// (makespan, position, machine rank), which is exactly the order the serial
+// private DeltaEvaluator. Reduction uses the lexicographic key (makespan,
+// total, position, machine rank), which is exactly the order the serial
 // scan visits candidates in, so parallel runs pick bit-identical moves.
 type allocPool struct {
-	workers []*allocWorker
-}
-
-type allocWorker struct {
-	eval  *schedule.Evaluator
-	delta *schedule.DeltaEvaluator // nil when the engine runs full evaluation
-	buf   schedule.String
+	workers []*schedule.DeltaEvaluator
 }
 
 type moveKey struct {
@@ -43,17 +37,18 @@ func (k moveKey) better(o moveKey) bool {
 	return k.mi < o.mi
 }
 
-func newAllocPool(g *taskgraph.Graph, sys *platform.System, n int, fullEval bool) *allocPool {
-	p := &allocPool{workers: make([]*allocWorker, n)}
+func newAllocPool(g *taskgraph.Graph, sys *platform.System, n int) *allocPool {
+	// A scan has at most NumTasks × NumMachines candidates and fans out
+	// only with at least two per worker, so a pool of more than half that
+	// always scans on worker 0: it is built at the smallest such size,
+	// which scans identically. Workers arrives from snapshots, so this
+	// also bounds what a hostile one can make a restore allocate.
+	if most := g.NumTasks()*sys.NumMachines()/2 + 1; n > most {
+		n = most
+	}
+	p := &allocPool{workers: make([]*schedule.DeltaEvaluator, n)}
 	for i := range p.workers {
-		w := &allocWorker{
-			eval: schedule.NewEvaluator(g, sys),
-			buf:  make(schedule.String, g.NumTasks()),
-		}
-		if !fullEval {
-			w.delta = schedule.NewDeltaEvaluator(g, sys)
-		}
-		p.workers[i] = w
+		p.workers[i] = schedule.NewDeltaEvaluator(g, sys)
 	}
 	return p
 }
@@ -67,11 +62,7 @@ func (p *allocPool) bestMove(cur schedule.String, idx, lo, hi int, machines []ta
 	nw := len(p.workers)
 	if total < 2*nw {
 		// Too little work to amortize goroutine wakeups.
-		w := p.workers[0]
-		if w.delta != nil {
-			return bestMoveDelta(w.delta, cur, idx, lo, hi, machines)
-		}
-		return bestMoveSerial(w.eval, cur, w.buf, idx, lo, hi, machines)
+		return BestMove(p.workers[0], cur, idx, lo, hi, machines)
 	}
 	results := make([]moveKey, nw)
 	var wg sync.WaitGroup
@@ -89,39 +80,26 @@ func (p *allocPool) bestMove(cur schedule.String, idx, lo, hi int, machines []ta
 		wg.Add(1)
 		go func(wi, start, end int) {
 			defer wg.Done()
-			w := p.workers[wi]
+			// Each worker pins the shared base once and replays only its
+			// chunk's candidates, bounded by the chunk's local best. An
+			// aborted candidate loses to that local best, so it can never
+			// be the chunk minimum — the deterministic reduction below is
+			// unchanged.
+			d := p.workers[wi]
+			d.Pin(cur)
 			best := moveKey{ms: -1}
-			if w.delta != nil {
-				// Each worker pins the shared base once and replays only
-				// its chunk's candidates, bounded by the chunk's local
-				// best. An aborted candidate exceeds that local best, so
-				// it can never be the chunk minimum — the deterministic
-				// reduction below is unchanged.
-				w.delta.Pin(cur)
-				boundMs, boundTotal := schedule.NoBound, schedule.NoBound
-				for i := start; i < end; i++ {
-					qq := lo + i/len(machines)
-					mm := i % len(machines)
-					c, total, ok := w.delta.MoveMakespan(idx, qq, machines[mm], boundMs, boundTotal)
-					if !ok {
-						continue
-					}
-					k := moveKey{ms: c, total: total, q: qq, mi: mm}
-					if best.ms < 0 || k.better(best) {
-						best = k
-						boundMs, boundTotal = best.ms, best.total
-					}
+			boundMs, boundTotal := schedule.NoBound, schedule.NoBound
+			for i := start; i < end; i++ {
+				qq := lo + i/len(machines)
+				mm := i % len(machines)
+				c, total, ok := d.MoveMakespan(idx, qq, machines[mm], boundMs, boundTotal)
+				if !ok {
+					continue
 				}
-			} else {
-				for i := start; i < end; i++ {
-					qq := lo + i/len(machines)
-					mm := i % len(machines)
-					schedule.MoveInto(w.buf, cur, idx, qq, machines[mm])
-					c, total := w.eval.MakespanTotal(w.buf)
-					k := moveKey{ms: c, total: total, q: qq, mi: mm}
-					if best.ms < 0 || k.better(best) {
-						best = k
-					}
+				k := moveKey{ms: c, total: total, q: qq, mi: mm}
+				if best.ms < 0 || k.better(best) {
+					best = k
+					boundMs, boundTotal = best.ms, best.total
 				}
 			}
 			results[wi] = best
@@ -143,11 +121,8 @@ func (p *allocPool) bestMove(cur schedule.String, idx, lo, hi int, machines []ta
 // counts sums the evaluation-effort ledgers over all workers.
 func (p *allocPool) counts() schedule.EvalCounts {
 	var c schedule.EvalCounts
-	for _, w := range p.workers {
-		c = c.Add(w.eval.Counts())
-		if w.delta != nil {
-			c = c.Add(w.delta.Counts())
-		}
+	for _, d := range p.workers {
+		c = c.Add(d.Counts())
 	}
 	return c
 }

@@ -25,7 +25,7 @@ type Engine struct {
 	rng   *rand.Rand
 	src   *xrand.Source // rng's counting source, for snapshots
 	eval  *schedule.Evaluator
-	delta *schedule.DeltaEvaluator // incremental engine; nil under Options.FullEval
+	delta *schedule.DeltaEvaluator // serial allocation's evaluator; nil with a pool
 	// probe answers observation-only makespan queries (Result's closing
 	// evaluation) off the counted evaluators, so inspecting a search
 	// mid-run leaves the effort ledger exactly as untouched as the search
@@ -125,10 +125,10 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 		return e.levels[e.levelOrder[i]] < e.levels[e.levelOrder[j]]
 	})
 	if opts.Workers > 1 {
-		e.pool = newAllocPool(g, sys, opts.Workers, opts.FullEval)
-	} else if !opts.FullEval {
-		// The pool's workers own their incremental evaluators; the serial
-		// one exists only on the serial path.
+		e.pool = newAllocPool(g, sys, opts.Workers)
+	} else {
+		// The pool's workers own their evaluators; the serial one exists
+		// only on the serial path.
 		e.delta = schedule.NewDeltaEvaluator(g, sys)
 	}
 	return e, nil
@@ -302,13 +302,10 @@ func (e *Engine) allocate() {
 		machines := e.sys.TopMachines(t, e.opts.Y)
 
 		var bestQ, bestMI int
-		switch {
-		case e.pool != nil:
+		if e.pool != nil {
 			_, bestQ, bestMI = e.pool.bestMove(e.cur, idx, lo, hi, machines)
-		case e.delta != nil:
-			_, bestQ, bestMI = bestMoveDelta(e.delta, e.cur, idx, lo, hi, machines)
-		default:
-			_, bestQ, bestMI = bestMoveSerial(e.eval, e.cur, e.moveBuf, idx, lo, hi, machines)
+		} else {
+			_, bestQ, bestMI = BestMove(e.delta, e.cur, idx, lo, hi, machines)
 		}
 		schedule.MoveInto(e.moveBuf, e.cur, idx, bestQ, machines[bestMI])
 		copy(e.cur, e.moveBuf)
@@ -316,54 +313,20 @@ func (e *Engine) allocate() {
 	}
 }
 
-// BestMove is SE's allocation scan (§4.5) over the incremental engine,
-// exported for the sharded boundary-reconciliation pass (internal/shard),
-// which re-places cross-region tasks with exactly the move-selection
-// semantics the serial allocation uses: d is pinned on cur, every
-// (position, machine) candidate in [lo, hi] × machines is evaluated by
-// checkpointed suffix replay, and the winner under the lexicographic
-// (makespan, total, q, machine-rank) key is returned.
+// BestMove is SE's allocation scan (§4.5): d is pinned on cur, and every
+// (position, machine) candidate in [lo, hi] × machines is answered by a
+// checkpointed suffix replay, visited in ascending (q, machine-rank)
+// order. The winner is the first candidate minimizing (makespan, total
+// finish time): candidates off the critical path tie on makespan, and
+// the secondary total-finish criterion keeps such moves compacting the
+// schedule instead of parking at the first tie. Each replay is bounded by
+// the best key so far and aborts only when it provably loses to it, so
+// the scan picks the winner an unbounded scan would. The parallel pool
+// reduces with the same key, so both paths pick identical moves. It is
+// exported for the sharded boundary-reconciliation pass
+// (internal/shard), which re-places cross-region tasks with exactly
+// these semantics.
 func BestMove(d *schedule.DeltaEvaluator, cur schedule.String, idx, lo, hi int, machines []taskgraph.MachineID) (ms float64, q, mi int) {
-	return bestMoveDelta(d, cur, idx, lo, hi, machines)
-}
-
-// BestMoveFull is BestMove over full left-to-right evaluation — the
-// ablation twin internal/shard uses under Options.FullEval. buf is
-// scratch of length len(cur) that must not alias cur. Both scans rank
-// candidates under the same total key, so they pick identical winners.
-func BestMoveFull(eval *schedule.Evaluator, cur, buf schedule.String, idx, lo, hi int, machines []taskgraph.MachineID) (ms float64, q, mi int) {
-	return bestMoveSerial(eval, cur, buf, idx, lo, hi, machines)
-}
-
-// bestMoveSerial scans all (position, machine) combinations in ascending
-// (q, machine-rank) order and returns the first combination minimizing
-// (makespan, total finish time): candidates off the critical path tie on
-// makespan, and the secondary total-finish criterion keeps such moves
-// compacting the schedule instead of parking at the first tie. The
-// parallel pool reduces with the same key, so both paths pick identical
-// moves.
-func bestMoveSerial(eval *schedule.Evaluator, cur, buf schedule.String, idx, lo, hi int, machines []taskgraph.MachineID) (ms float64, q, mi int) {
-	best := moveKey{ms: -1}
-	for qq := lo; qq <= hi; qq++ {
-		for mm, m := range machines {
-			schedule.MoveInto(buf, cur, idx, qq, m)
-			c, total := eval.MakespanTotal(buf)
-			k := moveKey{ms: c, total: total, q: qq, mi: mm}
-			if best.ms < 0 || k.better(best) {
-				best = k
-			}
-		}
-	}
-	return best.ms, best.q, best.mi
-}
-
-// bestMoveDelta is bestMoveSerial over the incremental engine: the base
-// string is pinned once and every candidate is answered by a checkpointed
-// suffix replay, bounded by the best candidate makespan seen so far. A
-// replay aborts only when its makespan strictly exceeds the bound, so
-// ties — which the total-finish criterion separates — are still fully
-// evaluated, and the scan picks the identical winner.
-func bestMoveDelta(d *schedule.DeltaEvaluator, cur schedule.String, idx, lo, hi int, machines []taskgraph.MachineID) (ms float64, q, mi int) {
 	d.Pin(cur)
 	best := moveKey{ms: -1}
 	boundMs, boundTotal := schedule.NoBound, schedule.NoBound

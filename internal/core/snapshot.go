@@ -14,8 +14,9 @@ import (
 // Snapshot format: magic + version gate the layout; bump engineSnapVersion
 // on any field change.
 const (
-	engineSnapMagic   = "SEEN"
-	engineSnapVersion = 2
+	engineSnapMagic = "SEEN"
+	// engineSnapVersion 3 dropped the evaluator-selection flag.
+	engineSnapVersion = 3
 )
 
 // Snapshot encodes the engine's complete search state — options, rng
@@ -33,7 +34,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.Int(e.opts.Y)
 	w.Int(e.opts.PerturbAfter)
 	w.Int(e.opts.Workers)
-	w.Bool(e.opts.FullEval)
 	seed, draws := e.src.Snapshot()
 	w.I64(seed)
 	w.U64(draws)
@@ -65,7 +65,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	opts.Y = r.Int()
 	opts.PerturbAfter = r.Int()
 	opts.Workers = r.Int()
-	opts.FullEval = r.Bool()
 	seed := r.I64()
 	draws := r.U64()
 	cur := schedule.ReadSnap(r)

@@ -36,7 +36,6 @@ func openSEDist(cfg scheduler.Config, g *taskgraph.Graph, sys *platform.System) 
 			Bias:            cfg.Bias,
 			Y:               cfg.Y,
 			PerturbAfter:    cfg.PerturbAfter,
-			FullEval:        cfg.FullEval,
 			Seed:            cfg.Seed,
 			Initial:         cfg.Initial,
 			MaxParallel:     cfg.Workers,

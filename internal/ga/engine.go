@@ -51,8 +51,7 @@ type Engine struct {
 	// cut, so a restored search's counts continue instead of resetting.
 	base schedule.EvalCounts
 
-	evals    []*schedule.Evaluator      // one per worker (index 0 = serial path)
-	deltas   []*schedule.DeltaEvaluator // one per worker; nil under FullEval
+	evals    []*schedule.Evaluator // one per worker (index 0 = serial path)
 	bufs     []schedule.String
 	posBuf   []int
 	fitness  []float64
@@ -130,6 +129,14 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	if workers < 1 {
 		workers = 1
 	}
+	// evaluate fans out only with at least two chromosomes per worker, so
+	// more workers than half the population always evaluate on worker 0:
+	// build the smallest such count, which evaluates identically. Workers
+	// arrives from snapshots, so this also bounds what a hostile one can
+	// make a restore allocate.
+	if most := opts.PopulationSize/2 + 1; workers > most {
+		workers = most
+	}
 	rng, src := xrand.New(opts.Seed)
 	e := &Engine{
 		g:        g,
@@ -147,9 +154,6 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	for i := 0; i < workers; i++ {
 		e.evals = append(e.evals, schedule.NewEvaluator(g, sys))
 		e.bufs = append(e.bufs, make(schedule.String, g.NumTasks()))
-		if !opts.FullEval {
-			e.deltas = append(e.deltas, schedule.NewDeltaEvaluator(g, sys))
-		}
 	}
 	e.next = make([]*chromosome, 0, opts.PopulationSize)
 	return e, nil
@@ -216,16 +220,18 @@ func (e *Engine) Step() schedule.Progress {
 }
 
 // Result finalizes the engine's state into a Result. Before the first
-// Step the best chromosome is undefined, so Result evaluates the initial
-// population's chromosome 0 to return something valid. The engine remains
-// steppable afterwards. Iterations counts completed generations.
+// Step the best chromosome is undefined, so Result scores the initial
+// population's chromosome 0 to return something valid — on an uncounted
+// evaluator, so that reading the best before the first generation leaves
+// the effort ledger untouched. The engine remains steppable afterwards.
+// Iterations counts completed generations.
 func (e *Engine) Result() *schedule.Result {
-	best := e.best
-	if best == nil {
+	if e.best == nil {
 		c := e.pop[0]
-		best = &chromosome{order: c.order, assign: c.assign, cost: e.costOf(c, 0, true)}
+		s := schedule.FromOrder(c.order, c.assign)
+		return schedule.NewResult(s, schedule.NewEvaluator(e.g, e.sys).Makespan(s), e.gen, e.counts(), e.elapsed)
 	}
-	return schedule.NewResult(schedule.FromOrder(best.order, best.assign), best.cost, e.gen, e.counts(), e.elapsed)
+	return schedule.NewResult(schedule.FromOrder(e.best.order, e.best.assign), e.best.cost, e.gen, e.counts(), e.elapsed)
 }
 
 // counts sums the search's effort ledger across every worker evaluator,
@@ -234,9 +240,6 @@ func (e *Engine) counts() schedule.EvalCounts {
 	counts := e.base
 	for _, ev := range e.evals {
 		counts = counts.Add(ev.Counts())
-	}
-	for _, d := range e.deltas {
-		counts = counts.Add(d.Counts())
 	}
 	return counts
 }
@@ -261,14 +264,14 @@ func (e *Engine) evaluate() (genBest *chromosome) {
 			go func(wi, lo, hi int) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					e.pop[i].cost = e.costOf(e.pop[i], wi, i == lo)
+					e.pop[i].cost = e.costOf(e.pop[i], wi)
 				}
 			}(wi, lo, hi)
 		}
 		wg.Wait()
 	} else {
-		for i, c := range e.pop {
-			c.cost = e.costOf(c, 0, i == 0)
+		for _, c := range e.pop {
+			c.cost = e.costOf(c, 0)
 		}
 	}
 	for _, c := range e.pop {
@@ -279,36 +282,13 @@ func (e *Engine) evaluate() (genBest *chromosome) {
 	return genBest
 }
 
-// costOf computes one chromosome's schedule length. With the incremental
-// engine, each worker keeps one pinned chromosome: a string identical to
-// it — the elite, which worker 0 re-meets every stagnant generation — is
-// answered for free, one sharing a deep prefix (a clone whose mutation
-// landed late, an offspring cut far into the string) by replaying only
-// the differing suffix. Chunk-first chromosomes re-pin the base so it
-// tracks the population; everything else takes the plain full pass — a
-// shallow-prefix replay would cost more than it saves. All paths return
-// bit-identical costs.
-func (e *Engine) costOf(c *chromosome, worker int, rebase bool) float64 {
+// costOf computes one chromosome's schedule length with one full pass on
+// the worker's evaluator: GA scores whole strings, with no bound to prune
+// against and no base string most chromosomes share.
+func (e *Engine) costOf(c *chromosome, worker int) float64 {
 	buf := e.bufs[worker]
 	for i, t := range c.order {
 		buf[i] = schedule.Gene{Task: t, Machine: c.assign[t]}
-	}
-	if e.deltas == nil {
-		return e.evals[worker].Makespan(buf)
-	}
-	d := e.deltas[worker]
-	lcp := d.LCP(buf)
-	if lcp == len(buf) {
-		ms, _, _ := d.SharedPrefixMakespan(buf, schedule.NoBound)
-		return ms
-	}
-	if rebase {
-		ms, _ := d.Pin(buf)
-		return ms
-	}
-	if lcp >= 3*len(buf)/5 {
-		ms, _, _ := d.SharedPrefixMakespan(buf, schedule.NoBound)
-		return ms
 	}
 	return e.evals[worker].Makespan(buf)
 }

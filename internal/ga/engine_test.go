@@ -59,3 +59,33 @@ func TestEvaluateParallelMatchesSerialCosts(t *testing.T) {
 		}
 	}
 }
+
+func TestWorkersBeyondHalfThePopulationAreNotBuilt(t *testing.T) {
+	// evaluate fans out only with two chromosomes per worker, so more
+	// workers than half the population evaluate serially; only that many
+	// evaluators are built, and a restore of a snapshot naming more stays
+	// cheap.
+	w := workload.MustGenerate(workload.Params{
+		Tasks: 10, Machines: 3, Connectivity: 2, Heterogeneity: 4, CCR: 0.5, Seed: 1,
+	})
+	e, err := NewEngine(w.Graph, w.System, Options{Seed: 1, PopulationSize: 10, Workers: 10_000})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if len(e.evals) != 6 {
+		t.Fatalf("built %d worker evaluators, want 6", len(e.evals))
+	}
+	serial, err := NewEngine(w.Graph, w.System, Options{Seed: 1, PopulationSize: 10})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		e.Step()
+		serial.Step()
+	}
+	got, want := e.Result(), serial.Result()
+	if got.Makespan != want.Makespan || got.Evaluations != want.Evaluations || got.GenesEvaluated != want.GenesEvaluated {
+		t.Errorf("oversized worker set: makespan %v, %d evaluations, %d genes; serial %v, %d, %d",
+			got.Makespan, got.Evaluations, got.GenesEvaluated, want.Makespan, want.Evaluations, want.GenesEvaluated)
+	}
+}

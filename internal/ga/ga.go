@@ -49,11 +49,6 @@ type Options struct {
 	// (Wang et al. seed the population with a baseline heuristic's
 	// solution). It must be valid for the graph/system.
 	Initial schedule.String
-
-	// FullEval disables the incremental evaluation engine and scores
-	// every chromosome with a full pass. Fitness values are bit-identical
-	// either way; this exists for ablations and differential tests.
-	FullEval bool
 }
 
 func (o Options) withDefaults() Options {

@@ -15,8 +15,10 @@ import (
 const (
 	engineSnapMagic = "GAEN"
 	// engineSnapVersion 2 added the effort ledger, so restored searches
-	// report cumulative evaluation counts.
-	engineSnapVersion = 2
+	// report cumulative evaluation counts; 3 dropped the
+	// evaluator-selection flag and the pinned bases of the retired
+	// incremental fitness path.
+	engineSnapVersion = 3
 )
 
 // appendChromosomeSnap writes c in the combined schedule.String encoding —
@@ -45,7 +47,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.F64(e.opts.MutationRate)
 	w.Int(e.opts.Elitism)
 	w.Int(e.opts.Workers)
-	w.Bool(e.opts.FullEval)
 	seed, draws := e.src.Snapshot()
 	w.I64(seed)
 	w.U64(draws)
@@ -66,17 +67,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.U64(counts.Delta)
 	w.U64(counts.Aborted)
 	w.U64(counts.Genes)
-	// Each delta worker's pinned base travels too: costOf's cheap paths
-	// (free elite, suffix replay) depend on what is pinned, so a restored
-	// engine must pin the identical strings to spend identical effort.
-	w.Int(len(e.deltas))
-	for _, d := range e.deltas {
-		base := d.Base()
-		w.Bool(base != nil)
-		if base != nil {
-			schedule.AppendSnap(w, base)
-		}
-	}
 	return w.Detach(), nil
 }
 
@@ -95,7 +85,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	opts.MutationRate = r.F64()
 	opts.Elitism = r.Int()
 	opts.Workers = r.Int()
-	opts.FullEval = r.Bool()
 	seed := r.I64()
 	draws := r.U64()
 	popLen := r.Len(1)
@@ -133,13 +122,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	base.Delta = r.U64()
 	base.Aborted = r.U64()
 	base.Genes = r.U64()
-	numPins := r.Len(1)
-	pins := make([]schedule.String, numPins)
-	for i := range pins {
-		if r.Bool() {
-			pins[i] = schedule.ReadSnap(r)
-		}
-	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("ga: restore: %w", err)
 	}
@@ -160,25 +142,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	e.gen = gen
 	e.sinceImproved = sinceImproved
 	e.elapsed = elapsed
-	if numPins != len(e.deltas) {
-		return nil, fmt.Errorf("ga: restore: %d pinned bases for %d delta workers", numPins, len(e.deltas))
-	}
-	for i, p := range pins {
-		if p == nil {
-			continue
-		}
-		if err := schedule.Validate(p, g, sys); err != nil {
-			return nil, fmt.Errorf("ga: restore: worker %d pinned base: %w", i, err)
-		}
-		e.deltas[i].Pin(p)
-	}
-	// The snapshotted run already accounted its own pins in base; cancel
-	// the restore-time re-pins so the ledger continues exactly where the
-	// uninterrupted run's would be.
-	var repin schedule.EvalCounts
-	for _, d := range e.deltas {
-		repin = repin.Add(d.Counts())
-	}
-	e.base = base.Sub(repin)
+	e.base = base
 	return e, nil
 }

@@ -37,10 +37,6 @@ type Options struct {
 	// Initial, when non-nil, is the starting solution (cloned); otherwise
 	// a random valid solution is generated.
 	Initial schedule.String
-	// FullEval disables the incremental evaluation engine and scores every
-	// proposed move with a full pass. The walk is byte-identical either
-	// way; this exists for ablations and differential tests.
-	FullEval bool
 }
 
 // Engine is one SA walk in progress, steppable one temperature block at a
@@ -52,8 +48,7 @@ type Engine struct {
 	opts Options
 	rng  *rand.Rand
 	src  *xrand.Source
-	eval *schedule.Evaluator
-	inc  *schedule.DeltaEvaluator // incremental engine; nil under FullEval
+	inc  *schedule.DeltaEvaluator
 
 	cur   schedule.String
 	curMs float64
@@ -96,11 +91,7 @@ func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine,
 		}
 		e.cur = schedule.FromOrder(g.RandomTopoOrder(e.rng), assign)
 	}
-	if e.inc != nil {
-		e.curMs, _ = e.inc.Pin(e.cur)
-	} else {
-		e.curMs = e.eval.Makespan(e.cur)
-	}
+	e.curMs, _ = e.inc.Pin(e.cur)
 	e.best = e.cur.Clone()
 	e.bestMs = e.curMs
 	e.temp = e.opts.InitialTemp
@@ -133,12 +124,9 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 		opts: opts,
 		rng:  rng,
 		src:  src,
-		eval: schedule.NewEvaluator(g, sys),
+		inc:  schedule.NewDeltaEvaluator(g, sys),
 		cand: make(schedule.String, g.NumTasks()),
 		pos:  make([]int, g.NumTasks()),
-	}
-	if !opts.FullEval {
-		e.inc = schedule.NewDeltaEvaluator(g, sys)
 	}
 	return e, nil
 }
@@ -171,27 +159,18 @@ func (e *Engine) Step() schedule.Progress {
 		lo, hi := schedule.ValidRange(e.g, e.cur, e.pos, idx)
 		q := lo + e.rng.Intn(hi-lo+1)
 		m := taskgraph.MachineID(e.rng.Intn(e.sys.NumMachines()))
-		var ms float64
-		if e.inc != nil {
-			// Metropolis needs the exact makespan even uphill, so the
-			// replay runs unbounded; the rejected-move common case
-			// costs only the suffix, with no string materialized.
-			ms, _, _ = e.inc.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
-		} else {
-			schedule.MoveInto(e.cand, e.cur, idx, q, m)
-			ms = e.eval.Makespan(e.cand)
-		}
+		// Metropolis needs the exact makespan even uphill, so the replay
+		// runs unbounded; the rejected-move common case costs only the
+		// suffix, with no string materialized.
+		ms, _, _ := e.inc.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
 		e.moves++
 
 		delta := ms - e.curMs
 		if delta <= 0 || e.rng.Float64() < math.Exp(-delta/e.temp) {
-			if e.inc != nil {
-				// The replay scratch already holds the accepted
-				// string's state; rebasing is bookkeeping, not a
-				// re-evaluation.
-				schedule.MoveInto(e.cand, e.cur, idx, q, m)
-				e.inc.CommitMove(idx, q, m)
-			}
+			// The replay scratch already holds the accepted string's
+			// state; rebasing is bookkeeping, not a re-evaluation.
+			schedule.MoveInto(e.cand, e.cur, idx, q, m)
+			e.inc.CommitMove(idx, q, m)
 			copy(e.cur, e.cand)
 			schedule.UpdatePositions(e.pos, e.cur, idx, q)
 			e.curMs = ms
@@ -225,10 +204,4 @@ func (e *Engine) Result() *schedule.Result {
 
 // counts sums the walk's effort ledger: live evaluator counters on top of
 // the pre-restore base.
-func (e *Engine) counts() schedule.EvalCounts {
-	counts := e.base.Add(e.eval.Counts())
-	if e.inc != nil {
-		counts = counts.Add(e.inc.Counts())
-	}
-	return counts
-}
+func (e *Engine) counts() schedule.EvalCounts { return e.base.Add(e.inc.Counts()) }

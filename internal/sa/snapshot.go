@@ -15,8 +15,9 @@ import (
 const (
 	engineSnapMagic = "SAEN"
 	// engineSnapVersion 2 added the effort ledger, so restored walks
-	// report cumulative evaluation counts.
-	engineSnapVersion = 2
+	// report cumulative evaluation counts; 3 dropped the
+	// evaluator-selection flag.
+	engineSnapVersion = 3
 )
 
 // Snapshot encodes the walk's complete state — options, rng stream
@@ -29,7 +30,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w := snap.Borrow(engineSnapMagic, engineSnapVersion)
 	w.F64(e.opts.Cooling)
 	w.Int(e.opts.MovesPerTemp)
-	w.Bool(e.opts.FullEval)
 	seed, draws := e.src.Snapshot()
 	w.I64(seed)
 	w.U64(draws)
@@ -62,7 +62,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	var opts Options
 	opts.Cooling = r.F64()
 	opts.MovesPerTemp = r.Int()
-	opts.FullEval = r.Bool()
 	seed := r.I64()
 	draws := r.U64()
 	cur := schedule.ReadSnap(r)
@@ -111,14 +110,11 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	e.blocks = blocks
 	e.sinceImproved = sinceImproved
 	e.elapsed = elapsed
-	e.base = base
-	if e.inc != nil {
-		e.inc.Pin(e.cur)
-		// The snapshotted walk already accounted its own construction pin
-		// in base; cancel the restore-time re-pin so the ledger continues
-		// exactly where the uninterrupted walk's would be.
-		e.base = e.base.Sub(e.inc.Counts())
-	}
+	e.inc.Pin(e.cur)
+	// The snapshotted walk already accounted its own construction pin in
+	// base; cancel the restore-time re-pin so the ledger continues exactly
+	// where the uninterrupted walk's would be.
+	e.base = base.Sub(e.inc.Counts())
 	e.cur.Positions(e.pos)
 	return e, nil
 }

@@ -59,7 +59,7 @@ func (c EvalCounts) Sub(o EvalCounts) EvalCounts {
 }
 
 // NoBound disables the early-exit abort when passed as a bound argument
-// of MoveMakespan or SharedPrefixMakespan.
+// of MoveMakespan.
 var NoBound = math.Inf(1)
 
 // DeltaEvaluator answers "what would the makespan be after this move?"
@@ -95,10 +95,10 @@ var NoBound = math.Inf(1)
 // more than it saves, and the rest of the string walks every gene.
 //
 // The replay performs bit-for-bit the same float operations, in the same
-// order, as Evaluator would on the materialized moved string, so every
-// search that swaps full evaluation for delta evaluation returns
-// byte-identical schedules (the differential tests in delta_test.go and
-// the registry-wide equivalence tests enforce this).
+// order, as Evaluator would on the materialized moved string, so a search
+// returns byte-identical schedules whether it scores its moves by replay
+// or, inside a Reference scope, by full passes (the differential tests in
+// delta_test.go and the registry-wide equivalence tests enforce this).
 //
 // A DeltaEvaluator is not safe for concurrent use; create one per
 // goroutine, like Evaluator.
@@ -150,8 +150,7 @@ type DeltaEvaluator struct {
 	// was stepped earlier in the same replay (topological order).
 	work      []float64
 	dirtyFrom int
-	assign    []taskgraph.MachineID // arbitrary-string replay scratch (replayFrom only)
-	ready     []float64             // machine → ready time during a replay
+	ready     []float64 // machine → ready time during a replay
 
 	// A move replay walks a gene's predecessors only when the gene is
 	// stamped: a predecessor's finish time diverged from the base, or an
@@ -213,6 +212,10 @@ type DeltaEvaluator struct {
 	}
 
 	counts EvalCounts
+
+	// ref is non-nil in reference mode (see Reference): moves are then
+	// scored by full passes instead of replays.
+	ref *reference
 }
 
 // NewDeltaEvaluator returns a DeltaEvaluator for g on sys. Pin must be
@@ -239,7 +242,6 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		ckMax:      make([]float64, numCk),
 		ckTotal:    make([]float64, numCk),
 		work:       make([]float64, n),
-		assign:     make([]taskgraph.MachineID, n),
 		ready:      make([]float64, l),
 		lastUse:    make([]int, l),
 		xfer:       make([]float64, g.NumItems()),
@@ -248,6 +250,7 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		lastFrom:   -1,
 	}
 	d.memo.ready = make([]float64, l)
+	d.ref = newReference(d)
 	return d
 }
 
@@ -395,6 +398,9 @@ func (d *DeltaEvaluator) tailConverged(j int) bool {
 func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs, boundTotal float64) (makespan, total float64, ok bool) {
 	if d.base == nil {
 		panic("schedule: DeltaEvaluator.MoveMakespan called before Pin")
+	}
+	if d.ref != nil {
+		return d.referenceMove(idx, q, m)
 	}
 	n := len(d.base)
 	first := idx
@@ -719,6 +725,9 @@ func (d *DeltaEvaluator) settled(idx, q int, f float64, moving bool, ms, tot, bo
 // re-Pin. It panics when the last evaluation was not a successful
 // MoveMakespan of the same (idx, q, m).
 func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan, total float64) {
+	if d.ref != nil {
+		return d.referenceCommit(idx, q, m)
+	}
 	if !d.lastMove.valid || d.lastMove.idx != idx || d.lastMove.q != q || d.lastMove.m != m {
 		panic("schedule: DeltaEvaluator.CommitMove does not match the last MoveMakespan")
 	}
@@ -820,111 +829,6 @@ func (d *DeltaEvaluator) priceEdges(t taskgraph.TaskID, m taskgraph.MachineID) {
 	for _, sc := range d.g.Succs(t) {
 		d.xfer[sc.Item] = d.sys.TransferTime(m, d.baseAssign[sc.Task], sc.Item)
 	}
-}
-
-// LCP returns the number of leading genes s shares with the pinned base
-// (0 before the first Pin or on length mismatch).
-func (d *DeltaEvaluator) LCP(s String) int {
-	if d.base == nil || len(s) != len(d.base) {
-		return 0
-	}
-	for i := range s {
-		if s[i] != d.base[i] {
-			return i
-		}
-	}
-	return len(s)
-}
-
-// SharedPrefixMakespan evaluates an arbitrary string s by replaying it
-// from the checkpoint under its longest common prefix with the pinned
-// base. GA fitness uses it for chromosomes that share a prefix with the
-// pinned one; a string with no shared prefix degenerates to a full
-// replay from position 0. bound behaves as MoveMakespan's boundMs.
-func (d *DeltaEvaluator) SharedPrefixMakespan(s String, bound float64) (makespan, total float64, ok bool) {
-	if d.base == nil {
-		panic("schedule: DeltaEvaluator.SharedPrefixMakespan called before Pin")
-	}
-	lcp := d.LCP(s)
-	if lcp == len(s) {
-		d.counts.Delta++
-		d.lastMove.valid = false
-		if d.baseMs > bound {
-			d.counts.Aborted++
-			d.lastFrom = -1
-			return 0, 0, false
-		}
-		d.lastFrom = len(s)
-		return d.baseMs, d.baseTotal, true
-	}
-	return d.replayFrom(s, lcp, bound)
-}
-
-func (d *DeltaEvaluator) replayFrom(s String, lcp int, bound float64) (makespan, total float64, ok bool) {
-	d.lastMove.valid = false
-	d.memo.valid = false
-	from, ms, tot := d.restore(lcp)
-	d.clean(from)
-	if ms > bound {
-		d.counts.Delta++
-		d.counts.Aborted++
-		d.lastFrom = -1
-		return 0, 0, false
-	}
-	steps := 0
-	for j := from; j < len(s); j++ {
-		t, m := s[j].Task, s[j].Machine
-		start := d.ready[m]
-		for _, p := range d.g.Preds(t) {
-			// A predecessor before the replay start is clean base state in
-			// work; one at or after it was stepped earlier in this replay.
-			// Its machine likewise comes from the base prefix or from this
-			// replay's assignment scratch.
-			var pm taskgraph.MachineID
-			if d.basePos[p.Task] < from {
-				pm = d.baseAssign[p.Task]
-			} else {
-				pm = d.assign[p.Task]
-			}
-			arr := d.work[p.Task] + d.sys.TransferTime(pm, m, p.Item)
-			if arr > start {
-				start = arr
-			}
-		}
-		f := start + d.sys.ExecTime(m, t)
-		d.work[t] = f
-		d.assign[t] = m
-		d.ready[m] = f
-		steps++
-		if f > ms {
-			ms = f
-			if ms > bound {
-				d.counts.Delta++
-				d.counts.Aborted++
-				d.counts.Genes += uint64(steps)
-				d.lastFrom = -1
-				return 0, 0, false
-			}
-		}
-		tot += f
-	}
-	d.counts.Delta++
-	d.counts.Genes += uint64(steps)
-	d.lastFrom = from
-	return ms, tot, true
-}
-
-// Makespan evaluates s adaptively: when s shares at least one checkpoint
-// stride with the pinned base (or equals it), the suffix is replayed;
-// otherwise s becomes the new pinned base via a full pass. Either way the
-// returned makespan is exactly Evaluator.Makespan(s).
-func (d *DeltaEvaluator) Makespan(s String) float64 {
-	if d.base != nil && d.LCP(s) >= d.stride {
-		ms, _, _ := d.SharedPrefixMakespan(s, NoBound)
-		return ms
-	}
-	ms, _ := d.Pin(s)
-	return ms
 }
 
 // FinishInto writes the per-task finish times of the most recent

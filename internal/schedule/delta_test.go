@@ -104,74 +104,6 @@ func TestDeltaEdgeCaseMoves(t *testing.T) {
 	}
 }
 
-func TestDeltaSharedPrefixAgreesOnArbitraryStrings(t *testing.T) {
-	f := func(seed int64) bool {
-		w := randomWorkload(seed)
-		rng := rand.New(rand.NewSource(seed ^ 0x5a1e))
-		base := randomSolution(w, rng)
-		full := schedule.NewEvaluator(w.Graph, w.System)
-		delta := schedule.NewDeltaEvaluator(w.Graph, w.System)
-		delta.Pin(base)
-
-		// Arbitrary other strings: unrelated orders (LCP likely 0), the
-		// base itself (LCP n), and machine-perturbed copies (LCP = first
-		// changed position).
-		cands := []schedule.String{base.Clone(), randomSolution(w, rng)}
-		pert := base.Clone()
-		pert[rng.Intn(len(pert))].Machine = taskgraph.MachineID(rng.Intn(w.System.NumMachines()))
-		cands = append(cands, pert)
-
-		for _, s := range cands {
-			wantMs, wantTotal := full.MakespanTotal(s)
-			wantFin := make([]float64, len(s))
-			full.FinishInto(s, wantFin)
-			gotMs, gotTotal, ok := delta.SharedPrefixMakespan(s, schedule.NoBound)
-			if !ok || gotMs != wantMs || gotTotal != wantTotal {
-				t.Fatalf("SharedPrefixMakespan = (%v,%v,%v), full evaluator (%v,%v)",
-					gotMs, gotTotal, ok, wantMs, wantTotal)
-			}
-			gotFin := make([]float64, len(s))
-			delta.FinishInto(gotFin)
-			for task := range gotFin {
-				if gotFin[task] != wantFin[task] {
-					t.Fatalf("SharedPrefixMakespan: finish[s%d] = %v, full %v", task, gotFin[task], wantFin[task])
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDeltaAdaptiveMakespanMatchesFull(t *testing.T) {
-	f := func(seed int64) bool {
-		w := randomWorkload(seed)
-		rng := rand.New(rand.NewSource(seed ^ 0xada9))
-		full := schedule.NewEvaluator(w.Graph, w.System)
-		delta := schedule.NewDeltaEvaluator(w.Graph, w.System)
-		s := randomSolution(w, rng)
-		for trial := 0; trial < 10; trial++ {
-			if delta.Makespan(s) != full.Makespan(s) {
-				return false
-			}
-			// Sometimes mutate a machine (long shared prefix), sometimes
-			// draw a fresh string (forces a re-pin).
-			if rng.Intn(2) == 0 {
-				s = s.Clone()
-				s[rng.Intn(len(s))].Machine = taskgraph.MachineID(rng.Intn(w.System.NumMachines()))
-			} else {
-				s = randomSolution(w, rng)
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDeltaBoundNeverAbortsWinners(t *testing.T) {
 	// The early-exit contract: a candidate with true makespan ≤ bound is
 	// never aborted; an aborted candidate's true makespan strictly
@@ -418,5 +350,66 @@ func TestDeltaCountsLedger(t *testing.T) {
 	}
 	if c = delta.Counts(); c.Aborted != 1 {
 		t.Fatalf("aborted count = %d, want 1", c.Aborted)
+	}
+}
+
+func TestReferenceModeScoresByFullPasses(t *testing.T) {
+	// An evaluator built inside a Reference scope answers every move with
+	// one full pass: exact values even under a bound that would abort a
+	// replay, full-pass finish times, no replay in the ledger, and a
+	// commit that re-pins the moved string. One built outside the scope
+	// stays incremental.
+	w := randomWorkload(11)
+	rng := rand.New(rand.NewSource(11))
+	s := randomSolution(w, rng)
+	n := len(s)
+	full := schedule.NewEvaluator(w.Graph, w.System)
+	var ref *schedule.DeltaEvaluator
+	schedule.Reference(func() { ref = schedule.NewDeltaEvaluator(w.Graph, w.System) })
+	plain := schedule.NewDeltaEvaluator(w.Graph, w.System)
+	ref.Pin(s)
+	plain.Pin(s)
+	pos := make([]int, n)
+	wantFin, gotFin := make([]float64, n), make([]float64, n)
+	moves := 0
+	for trial := 0; trial < 30; trial++ {
+		s.Positions(pos)
+		idx := rng.Intn(n)
+		lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
+		q := lo + rng.Intn(hi-lo+1)
+		m := taskgraph.MachineID(rng.Intn(w.System.NumMachines()))
+		moved := schedule.Moved(s, idx, q, m)
+		wantMs, wantTot := full.MakespanTotal(moved)
+		// A bound below every schedule would abort any replay at once.
+		gotMs, gotTot, ok := ref.MoveMakespan(idx, q, m, 0, 0)
+		moves++
+		if !ok || gotMs != wantMs || gotTot != wantTot {
+			t.Fatalf("reference MoveMakespan = (%v,%v,%v), full evaluator (%v,%v)", gotMs, gotTot, ok, wantMs, wantTot)
+		}
+		if _, _, ok := plain.MoveMakespan(idx, q, m, 0, 0); ok {
+			t.Fatal("an evaluator built outside the Reference scope did not abort under a zero bound")
+		}
+		full.FinishInto(moved, wantFin)
+		ref.FinishInto(gotFin)
+		for task := range wantFin {
+			if gotFin[task] != wantFin[task] {
+				t.Fatalf("reference FinishInto: finish[s%d] = %v, full evaluator %v", task, gotFin[task], wantFin[task])
+			}
+		}
+		if trial%3 == 0 {
+			if cms, ctot := ref.CommitMove(idx, q, m); cms != wantMs || ctot != wantTot {
+				t.Fatalf("reference CommitMove = (%v,%v), full evaluator (%v,%v)", cms, ctot, wantMs, wantTot)
+			}
+			plain.Pin(moved)
+			s = moved
+			moves++ // the commit's re-pin
+		}
+	}
+	c := ref.Counts()
+	if c.Delta != 0 || c.Aborted != 0 || c.Full != uint64(1+moves) || c.Genes != uint64((1+moves)*n) {
+		t.Errorf("reference ledger %+v, want %d full passes of %d genes and no replays", c, 1+moves, n)
+	}
+	if plain.Counts().Delta == 0 {
+		t.Error("the plain evaluator reported no replays")
 	}
 }

@@ -41,7 +41,8 @@ type Result struct {
 	Evaluations uint64
 	// DeltaEvaluations counts checkpointed suffix replays by the
 	// incremental evaluation engine (DeltaEvaluator). Zero for
-	// constructive heuristics and for full-evaluation runs.
+	// constructive heuristics and for GA, which scores every chromosome
+	// with a full pass.
 	DeltaEvaluations uint64
 	// GenesEvaluated counts individual gene evaluation steps across full
 	// and delta evaluations — the effort measure the incremental engine

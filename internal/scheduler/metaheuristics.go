@@ -36,7 +36,6 @@ func init() {
 				Bias:            cfg.Bias,
 				Y:               cfg.Y,
 				PerturbAfter:    cfg.PerturbAfter,
-				FullEval:        cfg.FullEval,
 				Seed:            cfg.Seed,
 				Initial:         cfg.Initial,
 				MaxParallel:     cfg.Workers,
@@ -50,7 +49,6 @@ func init() {
 		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
 			return stepper(ga.NewEngine(g, sys, ga.Options{
 				PopulationSize: cfg.Population,
-				FullEval:       cfg.FullEval,
 				CrossoverRate:  cfg.Crossover,
 				MutationRate:   cfg.Mutation,
 				Elitism:        cfg.Elitism,
@@ -67,7 +65,6 @@ func init() {
 		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
 			return stepper(sa.NewEngine(g, sys, sa.Options{
 				InitialTemp:  cfg.InitialTemp,
-				FullEval:     cfg.FullEval,
 				Cooling:      cfg.Cooling,
 				MovesPerTemp: cfg.MovesPerTemp,
 				Seed:         cfg.Seed,
@@ -82,7 +79,6 @@ func init() {
 		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
 			return stepper(tabu.NewEngine(g, sys, tabu.Options{
 				Tenure:       cfg.Tenure,
-				FullEval:     cfg.FullEval,
 				Neighborhood: cfg.Neighborhood,
 				Seed:         cfg.Seed,
 				Initial:      cfg.Initial,
@@ -106,7 +102,6 @@ func stepper[E Stepper](e E, err error) (Stepper, error) {
 func openSE(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
 	return stepper(core.NewEngine(g, sys, core.Options{
 		Bias:         cfg.Bias,
-		FullEval:     cfg.FullEval,
 		Y:            cfg.Y,
 		Seed:         cfg.Seed,
 		Workers:      cfg.Workers,

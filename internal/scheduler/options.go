@@ -19,11 +19,6 @@ type Config struct {
 	Workers int
 	// Initial, when non-nil, seeds the run with this solution.
 	Initial schedule.String
-	// FullEval disables the incremental evaluation engine
-	// (schedule.DeltaEvaluator) in every metaheuristic and scores each
-	// candidate with a full left-to-right pass. Results are byte-identical
-	// either way; the flag exists for ablations and differential tests.
-	FullEval bool
 
 	// Bias is SE's selection bias B (§4.4).
 	Bias float64
@@ -102,10 +97,6 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithInitial seeds the run with an existing solution.
 func WithInitial(s schedule.String) Option { return func(c *Config) { c.Initial = s } }
-
-// WithFullEval disables the incremental evaluation engine (ablations and
-// differential tests; results are byte-identical either way).
-func WithFullEval() Option { return func(c *Config) { c.FullEval = true } }
 
 // WithBias sets SE's selection bias B.
 func WithBias(b float64) Option { return func(c *Config) { c.Bias = b } }

@@ -148,8 +148,9 @@ func TestSnapshotAtEveryCut(t *testing.T) {
 }
 
 // TestBestDoesNotPerturbSearch: reading the best-so-far mid-run is part
-// of the serving workflow (status queries against a pinned Search), so it
-// must not change what the search subsequently computes.
+// of the serving workflow (status queries against a pinned Search; the
+// server reads it right after opening one), so it must not change what
+// the search subsequently computes, nor the effort it reports.
 func TestBestDoesNotPerturbSearch(t *testing.T) {
 	w := conformanceWorkload()
 	for _, name := range []string{"se", "se-ils", "se-shard", "ga", "sa", "tabu"} {
@@ -159,6 +160,9 @@ func TestBestDoesNotPerturbSearch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Open: %v", err)
 				}
+				if inspect {
+					s.Best()
+				}
 				for i := 0; i < 12; i++ {
 					s.Step(context.Background())
 					if inspect {
@@ -167,7 +171,13 @@ func TestBestDoesNotPerturbSearch(t *testing.T) {
 				}
 				return s.Best()
 			}
-			assertSameOutcome(t, name, run(true), run(false))
+			got, want := run(true), run(false)
+			assertSameOutcome(t, name, got, want)
+			if got.Evaluations != want.Evaluations || got.DeltaEvaluations != want.DeltaEvaluations || got.GenesEvaluated != want.GenesEvaluated {
+				t.Errorf("%s: inspected run's ledger (%d full, %d delta, %d genes) != uninspected (%d, %d, %d)", name,
+					got.Evaluations, got.DeltaEvaluations, got.GenesEvaluated,
+					want.Evaluations, want.DeltaEvaluations, want.GenesEvaluated)
+			}
 		})
 	}
 }

@@ -98,7 +98,6 @@ type RunRequest struct {
 	Y          int     `json:"y,omitempty"`
 	Population int     `json:"population,omitempty"`
 	Workers    int     `json:"workers,omitempty"`
-	FullEval   bool    `json:"full_eval,omitempty"`
 	// Shards is se-shard's requested DAG region count (0 = adaptive). A
 	// sharded session run fans out to per-region workers inside the
 	// session's worker goroutine's request; the merged result keeps the
@@ -130,9 +129,6 @@ func (r RunRequest) Options() []scheduler.Option {
 	}
 	if len(r.WorkerURLs) > 0 {
 		opts = append(opts, scheduler.WithWorkerURLs(r.WorkerURLs...))
-	}
-	if r.FullEval {
-		opts = append(opts, scheduler.WithFullEval())
 	}
 	return opts
 }

@@ -20,26 +20,21 @@ type reconciler struct {
 	sys *platform.System
 	y   int
 
-	delta *schedule.DeltaEvaluator // nil under FullEval
-	eval  *schedule.Evaluator      // full-evaluation twin
+	delta *schedule.DeltaEvaluator
 
 	pos []int
 	buf schedule.String
 }
 
-func newReconciler(g *taskgraph.Graph, sys *platform.System, y int, fullEval bool) *reconciler {
-	r := &reconciler{
-		g:    g,
-		sys:  sys,
-		y:    y,
-		pos:  make([]int, g.NumTasks()),
-		buf:  make(schedule.String, g.NumTasks()),
-		eval: schedule.NewEvaluator(g, sys),
+func newReconciler(g *taskgraph.Graph, sys *platform.System, y int) *reconciler {
+	return &reconciler{
+		g:     g,
+		sys:   sys,
+		y:     y,
+		delta: schedule.NewDeltaEvaluator(g, sys),
+		pos:   make([]int, g.NumTasks()),
+		buf:   make(schedule.String, g.NumTasks()),
 	}
-	if !fullEval {
-		r.delta = schedule.NewDeltaEvaluator(g, sys)
-	}
-	return r
 }
 
 // run repairs s (schedule.Repair, a no-op for valid merges), applies the
@@ -53,31 +48,15 @@ func (r *reconciler) run(s schedule.String, boundary []taskgraph.TaskID, sweeps 
 			idx := r.pos[t]
 			lo, hi := schedule.ValidRange(r.g, s, r.pos, idx)
 			machines := r.sys.TopMachines(t, r.y)
-			var q, mi int
-			if r.delta != nil {
-				_, q, mi = core.BestMove(r.delta, s, idx, lo, hi, machines)
-			} else {
-				_, q, mi = core.BestMoveFull(r.eval, s, r.buf, idx, lo, hi, machines)
-			}
+			_, q, mi := core.BestMove(r.delta, s, idx, lo, hi, machines)
 			schedule.MoveInto(r.buf, s, idx, q, machines[mi])
 			copy(s, r.buf)
 			schedule.UpdatePositions(r.pos, s, idx, q)
 		}
 	}
-	var ms float64
-	if r.delta != nil {
-		ms, _ = r.delta.Pin(s)
-	} else {
-		ms = r.eval.Makespan(s)
-	}
+	ms, _ := r.delta.Pin(s)
 	return s, ms
 }
 
 // counts returns the reconciliation's evaluation-effort ledger.
-func (r *reconciler) counts() schedule.EvalCounts {
-	c := r.eval.Counts()
-	if r.delta != nil {
-		c = c.Add(r.delta.Counts())
-	}
-	return c
-}
+func (r *reconciler) counts() schedule.EvalCounts { return r.delta.Counts() }

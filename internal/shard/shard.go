@@ -66,14 +66,13 @@ type Options struct {
 	// (0 = all at once).
 	MaxParallel int
 
-	// Bias, Y, InitialMoves, PerturbAfter and FullEval configure each
-	// region's SE engine exactly as in core.Options; Y also bounds the
-	// candidate machines of the reconciliation scan.
+	// Bias, Y, InitialMoves and PerturbAfter configure each region's SE
+	// engine exactly as in core.Options; Y also bounds the candidate
+	// machines of the reconciliation scan.
 	Bias         float64
 	Y            int
 	InitialMoves int
 	PerturbAfter int
-	FullEval     bool
 
 	// Seed drives all randomness. Region r runs under a seed derived
 	// deterministically from (Seed, r); equal Options and inputs give
@@ -136,8 +135,8 @@ type Engine struct {
 }
 
 // reconciled is one reconciliation's input and output. Reconciliation is
-// a pure function of the merged string (the partition, boundary set, Y,
-// sweep count and FullEval are fixed per engine), so Result reuses it for
+// a pure function of the merged string (the partition, boundary set, Y
+// and sweep count are fixed per engine), so Result reuses it for
 // as long as the regions' bests merge to the same string. It is derived
 // state, not search state: snapshots omit it and a restored engine
 // reconciles afresh on its first Result.
@@ -360,7 +359,7 @@ func (e *Engine) Result() *schedule.Result {
 		} else if sweeps < 0 {
 			sweeps = 0
 		}
-		rec := newReconciler(e.g, e.sys, e.opts.Y, e.opts.FullEval)
+		rec := newReconciler(e.g, e.sys, e.opts.Y)
 		// run reconciles schedule.Repair's copy, so merged stays intact
 		// as the memo key.
 		best, ms := rec.run(merged, e.part.Boundary(e.g), sweeps)
@@ -379,7 +378,6 @@ func regionOptions(opts Options, r int) core.Options {
 		Y:            opts.Y,
 		InitialMoves: opts.InitialMoves,
 		PerturbAfter: opts.PerturbAfter,
-		FullEval:     opts.FullEval,
 		Seed:         regionSeed(opts.Seed, r),
 	}
 }

@@ -102,12 +102,13 @@ func TestShardedRunValidAndDeterministic(t *testing.T) {
 
 func TestShardedDeltaVsFullIdentical(t *testing.T) {
 	// The incremental engine must be invisible in sharded results too:
-	// regions and the reconciliation pass both have full-evaluation twins.
+	// inside a Reference scope both the regions and the reconciliation
+	// pass score their moves by full passes.
 	w := shardWorkload(50, 13)
 	opts := Options{Shards: 3, Y: 3, Seed: 5}
 	delta := sweep(t, w, opts, 20).Result()
-	opts.FullEval = true
-	full := sweep(t, w, opts, 20).Result()
+	var full *schedule.Result
+	schedule.Reference(func() { full = sweep(t, w, opts, 20).Result() })
 	if delta.Makespan != full.Makespan {
 		t.Errorf("delta makespan %v != full %v", delta.Makespan, full.Makespan)
 	}

@@ -12,8 +12,10 @@ import (
 
 // Snapshot format: magic + version gate the layout; bump on field changes.
 const (
-	engineSnapMagic   = "SHEN"
-	engineSnapVersion = 1
+	engineSnapMagic = "SHEN"
+	// engineSnapVersion 2 dropped the evaluator-selection flag and the
+	// retired "stopped" byte.
+	engineSnapVersion = 2
 )
 
 // Snapshot encodes the sharded sweep's complete state: the resolved
@@ -34,7 +36,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.F64(e.opts.Bias)
 	w.Int(e.opts.Y)
 	w.Int(e.opts.PerturbAfter)
-	w.Bool(e.opts.FullEval)
 	w.I64(e.opts.Seed)
 	w.Int(len(e.engines))
 	for r, eng := range e.engines {
@@ -48,9 +49,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		w.F64(e.regionBest[r])
 	}
 	w.Int(e.rounds)
-	// Retired "stopped" flag of the removed region observer, kept so the
-	// layout (and every snapshot-size golden) is unchanged.
-	w.Bool(false)
 	w.I64(int64(e.elapsed))
 	return w.Detach(), nil
 }
@@ -71,7 +69,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	opts.Bias = r.F64()
 	opts.Y = r.Int()
 	opts.PerturbAfter = r.Int()
-	opts.FullEval = r.Bool()
 	opts.Seed = r.I64()
 	k := r.Len(1)
 	subs := make([][]byte, k)
@@ -85,7 +82,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 		regionBest[i] = r.F64()
 	}
 	rounds := r.Int()
-	r.Bool() // retired "stopped" flag, always false
 	elapsed := time.Duration(r.I64())
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("shard: restore: %w", err)

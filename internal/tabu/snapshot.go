@@ -15,8 +15,9 @@ import (
 const (
 	engineSnapMagic = "TBEN"
 	// engineSnapVersion 2 added the effort ledger, so restored searches
-	// report cumulative evaluation counts.
-	engineSnapVersion = 2
+	// report cumulative evaluation counts; 3 dropped the
+	// evaluator-selection flag.
+	engineSnapVersion = 3
 )
 
 // Snapshot encodes the search's complete state — options, rng stream
@@ -28,7 +29,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w := snap.Borrow(engineSnapMagic, engineSnapVersion)
 	w.Int(e.opts.Tenure)
 	w.Int(e.opts.Neighborhood)
-	w.Bool(e.opts.FullEval)
 	seed, draws := e.src.Snapshot()
 	w.I64(seed)
 	w.U64(draws)
@@ -59,7 +59,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	var opts Options
 	opts.Tenure = r.Int()
 	opts.Neighborhood = r.Int()
-	opts.FullEval = r.Bool()
 	seed := r.I64()
 	draws := r.U64()
 	cur := schedule.ReadSnap(r)
@@ -104,14 +103,11 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	e.iter = iter
 	e.sinceImproved = sinceImproved
 	e.elapsed = elapsed
-	e.base = base
-	if e.inc != nil {
-		e.inc.Pin(e.cur)
-		// The snapshotted search already accounted its own construction
-		// pin in base; cancel the restore-time re-pin so the ledger
-		// continues exactly where the uninterrupted search's would be.
-		e.base = e.base.Sub(e.inc.Counts())
-	}
+	e.inc.Pin(e.cur)
+	// The snapshotted search already accounted its own construction pin
+	// in base; cancel the restore-time re-pin so the ledger continues
+	// exactly where the uninterrupted search's would be.
+	e.base = base.Sub(e.inc.Counts())
 	e.cur.Positions(e.pos)
 	return e, nil
 }

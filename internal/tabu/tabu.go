@@ -35,10 +35,6 @@ type Options struct {
 	Seed int64
 	// Initial, when non-nil, is the starting solution (cloned).
 	Initial schedule.String
-	// FullEval disables the incremental evaluation engine and scores every
-	// sampled neighbour with a full pass. The search is byte-identical
-	// either way; this exists for ablations and differential tests.
-	FullEval bool
 }
 
 // Engine is one tabu search in progress, steppable one iteration at a
@@ -50,8 +46,7 @@ type Engine struct {
 	opts Options
 	rng  *rand.Rand
 	src  *xrand.Source
-	eval *schedule.Evaluator
-	inc  *schedule.DeltaEvaluator // incremental engine; nil under FullEval
+	inc  *schedule.DeltaEvaluator
 
 	cur    schedule.String
 	curMs  float64
@@ -67,7 +62,6 @@ type Engine struct {
 	// cut, so a restored search's counts continue instead of resetting.
 	base schedule.EvalCounts
 
-	cand    schedule.String
 	applied schedule.String
 	pos     []int
 }
@@ -91,11 +85,7 @@ func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine,
 		}
 		e.cur = schedule.FromOrder(g.RandomTopoOrder(e.rng), assign)
 	}
-	if e.inc != nil {
-		e.curMs, _ = e.inc.Pin(e.cur)
-	} else {
-		e.curMs = e.eval.Makespan(e.cur)
-	}
+	e.curMs, _ = e.inc.Pin(e.cur)
 	e.best = e.cur.Clone()
 	e.bestMs = e.curMs
 	e.cur.Positions(e.pos)
@@ -125,14 +115,10 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 		opts:      opts,
 		rng:       rng,
 		src:       src,
-		eval:      schedule.NewEvaluator(g, sys),
+		inc:       schedule.NewDeltaEvaluator(g, sys),
 		tabuUntil: make([]int, n),
-		cand:      make(schedule.String, n),
 		applied:   make(schedule.String, n),
 		pos:       make([]int, n),
-	}
-	if !opts.FullEval {
-		e.inc = schedule.NewDeltaEvaluator(g, sys)
 	}
 	return e, nil
 }
@@ -163,29 +149,21 @@ func (e *Engine) Step() schedule.Progress {
 		lo, hi := schedule.ValidRange(e.g, e.cur, e.pos, idx)
 		q := lo + e.rng.Intn(hi-lo+1)
 		m := taskgraph.MachineID(e.rng.Intn(e.sys.NumMachines()))
-		var ms float64
-		if e.inc != nil {
-			// A candidate only matters when it beats the iteration's
-			// best admissible move so far — and, for a tabu task, only
-			// when it also beats the global best (aspiration). Both
-			// tests are strict, so a replay aborted above the tighter
-			// of the two bounds is a candidate the full path would
-			// have discarded anyway.
-			bound := schedule.NoBound
-			if bestMove >= 0 {
-				bound = bestMove
-			}
-			if e.tabuUntil[t] > iter && e.bestMs < bound {
-				bound = e.bestMs
-			}
-			var ok bool
-			ms, _, ok = e.inc.MoveMakespan(idx, q, m, bound, schedule.NoBound)
-			if !ok {
-				continue
-			}
-		} else {
-			schedule.MoveInto(e.cand, e.cur, idx, q, m)
-			ms = e.eval.Makespan(e.cand)
+		// A candidate only matters when it beats the iteration's best
+		// admissible move so far — and, for a tabu task, only when it
+		// also beats the global best (aspiration). Both tests are
+		// strict, so a replay aborted above the tighter of the two
+		// bounds is a candidate the exact value would discard anyway.
+		bound := schedule.NoBound
+		if bestMove >= 0 {
+			bound = bestMove
+		}
+		if e.tabuUntil[t] > iter && e.bestMs < bound {
+			bound = e.bestMs
+		}
+		ms, _, ok := e.inc.MoveMakespan(idx, q, m, bound, schedule.NoBound)
+		if !ok {
+			continue
 		}
 
 		admissible := e.tabuUntil[t] <= iter || ms < e.bestMs // aspiration
@@ -196,20 +174,15 @@ func (e *Engine) Step() schedule.Progress {
 			bestMove = ms
 			moved = t
 			movedIdx, movedQ, movedM = idx, q, m
-			if e.inc == nil {
-				copy(e.applied, e.cand)
-			}
 		}
 	}
 	if moved >= 0 {
-		if e.inc != nil {
-			// The winner is materialized once, here, rather than on
-			// every improvement during sampling; a second replay of it
-			// refreshes the scratch so the rebase is pure bookkeeping.
-			schedule.MoveInto(e.applied, e.cur, movedIdx, movedQ, movedM)
-			e.inc.MoveMakespan(movedIdx, movedQ, movedM, schedule.NoBound, schedule.NoBound)
-			e.inc.CommitMove(movedIdx, movedQ, movedM)
-		}
+		// The winner is materialized once, here, rather than on every
+		// improvement during sampling; a second replay of it refreshes
+		// the scratch so the rebase is pure bookkeeping.
+		schedule.MoveInto(e.applied, e.cur, movedIdx, movedQ, movedM)
+		e.inc.MoveMakespan(movedIdx, movedQ, movedM, schedule.NoBound, schedule.NoBound)
+		e.inc.CommitMove(movedIdx, movedQ, movedM)
 		copy(e.cur, e.applied)
 		schedule.UpdatePositions(e.pos, e.cur, movedIdx, movedQ)
 		e.curMs = bestMove
@@ -244,10 +217,4 @@ func (e *Engine) Result() *schedule.Result {
 
 // counts sums the search's effort ledger: live evaluator counters on top
 // of the pre-restore base.
-func (e *Engine) counts() schedule.EvalCounts {
-	counts := e.base.Add(e.eval.Counts())
-	if e.inc != nil {
-		counts = counts.Add(e.inc.Counts())
-	}
-	return counts
-}
+func (e *Engine) counts() schedule.EvalCounts { return e.base.Add(e.inc.Counts()) }
