@@ -6,7 +6,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/schedule"
 	"repro/internal/taskgraph"
-	"repro/internal/xrand"
 )
 
 // Current returns a copy of the engine's current (working) solution — the
@@ -34,21 +33,18 @@ func (e *Engine) Current() schedule.String { return e.cur.Clone() }
 // The receiver remains usable but the caller is expected to step only the
 // returned engine; the two share no state.
 func (e *Engine) Rebase(g *taskgraph.Graph, sys *platform.System, cur, best schedule.String) (*Engine, error) {
-	seed, draws := e.src.Snapshot()
 	opts := e.opts
-	opts.Seed = seed
 	opts.Initial = nil
-	ne, err := newShell(g, sys, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebase: %w", err)
-	}
 	if err := schedule.Validate(cur, g, sys); err != nil {
 		return nil, fmt.Errorf("core: rebase: current solution: %w", err)
 	}
 	if err := schedule.Validate(best, g, sys); err != nil {
 		return nil, fmt.Errorf("core: rebase: best solution: %w", err)
 	}
-	ne.rng, ne.src = xrand.NewRestored(seed, draws)
+	ne, err := newShell(g, sys, opts, e.src.Copy())
+	if err != nil {
+		return nil, fmt.Errorf("core: rebase: %w", err)
+	}
 	ne.cur = cur.Clone()
 	ne.best = best.Clone()
 	ne.bestMs = schedule.NewEvaluator(g, sys).Makespan(ne.best)

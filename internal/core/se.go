@@ -65,7 +65,7 @@ type Engine struct {
 // NewEngine validates opts and builds a ready-to-Step engine positioned
 // before its first generation. The caller's Step loop bounds the search.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
-	e, err := newShell(g, sys, opts)
+	e, err := newShell(g, sys, opts, xrand.NewSource(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -82,10 +82,10 @@ func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine,
 	return e, nil
 }
 
-// newShell builds an engine with everything but the search state (current
-// and best solutions, counters): the shared half of NewEngine and the
-// snapshot Restore path.
-func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
+// newShell builds an engine drawing from src with everything but the
+// search state (current and best solutions, counters): the shared half of
+// NewEngine and the snapshot Restore path.
+func newShell(g *taskgraph.Graph, sys *platform.System, opts Options, src *xrand.Source) (*Engine, error) {
 	if g.NumTasks() != sys.NumTasks() {
 		return nil, fmt.Errorf("core: graph has %d tasks but system is sized for %d", g.NumTasks(), sys.NumTasks())
 	}
@@ -96,12 +96,11 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 		return nil, fmt.Errorf("core: Y = %d, want >= 0", opts.Y)
 	}
 	n := g.NumTasks()
-	rng, src := xrand.New(opts.Seed)
 	e := &Engine{
 		g:        g,
 		sys:      sys,
 		opts:     opts,
-		rng:      rng,
+		rng:      src.Rand(),
 		src:      src,
 		eval:     schedule.NewEvaluator(g, sys),
 		opt:      OptimalFinishTimes(g, sys),

@@ -34,9 +34,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.Int(e.opts.Y)
 	w.Int(e.opts.PerturbAfter)
 	w.Int(e.opts.Workers)
-	seed, draws := e.src.Snapshot()
-	w.I64(seed)
-	w.U64(draws)
+	e.src.AppendSnap(w)
 	schedule.AppendSnap(w, e.cur)
 	schedule.AppendSnap(w, e.best)
 	w.F64(e.bestMs)
@@ -44,11 +42,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.Int(e.sinceImproved)
 	w.Bool(e.pendingKick)
 	w.I64(int64(e.elapsed))
-	counts := e.Counts()
-	w.U64(counts.Full)
-	w.U64(counts.Delta)
-	w.U64(counts.Aborted)
-	w.U64(counts.Genes)
+	e.Counts().AppendSnap(w)
 	return w.Detach(), nil
 }
 
@@ -65,8 +59,7 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	opts.Y = r.Int()
 	opts.PerturbAfter = r.Int()
 	opts.Workers = r.Int()
-	seed := r.I64()
-	draws := r.U64()
+	src := xrand.ReadSnap(r)
 	cur := schedule.ReadSnap(r)
 	best := schedule.ReadSnap(r)
 	bestMs := r.F64()
@@ -74,21 +67,12 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	sinceImproved := r.Int()
 	pendingKick := r.Bool()
 	elapsed := time.Duration(r.I64())
-	var base schedule.EvalCounts
-	base.Full = r.U64()
-	base.Delta = r.U64()
-	base.Aborted = r.U64()
-	base.Genes = r.U64()
+	base := schedule.ReadEvalCounts(r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	if iter < 0 || sinceImproved < 0 || elapsed < 0 {
 		return nil, fmt.Errorf("core: restore: negative counters (iter %d, sinceImproved %d, elapsed %v)", iter, sinceImproved, elapsed)
-	}
-	opts.Seed = seed
-	e, err := newShell(g, sys, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	if err := schedule.Validate(cur, g, sys); err != nil {
 		return nil, fmt.Errorf("core: restore: current solution: %w", err)
@@ -96,7 +80,10 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	if err := schedule.Validate(best, g, sys); err != nil {
 		return nil, fmt.Errorf("core: restore: best solution: %w", err)
 	}
-	e.rng, e.src = xrand.NewRestored(seed, draws)
+	e, err := newShell(g, sys, opts, src)
+	if err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
+	}
 	e.cur = cur
 	e.best = best
 	e.bestMs = bestMs

@@ -18,6 +18,7 @@ import (
 	"repro/internal/scheduler"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
@@ -256,6 +257,49 @@ func TestSnapshotRestoreContinuesBitIdentically(t *testing.T) {
 	}
 	got := stepAll(t, restored, testRounds-testRounds/2)
 	requireSameResult(t, "snapshot/restore se-dist", got, want)
+}
+
+// TestRestoreCapsRoundBatch: a restored coordinator's round batch obeys
+// the same per-request step cap NewEngine enforces, so a crafted snapshot
+// cannot make one Step run an unbounded number of generations per region.
+func TestRestoreCapsRoundBatch(t *testing.T) {
+	w := testWorkload(t)
+	s, err := scheduler.Open("se-dist", w.Graph, w.System,
+		scheduler.WithShards(testShards), scheduler.WithSeed(testSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := scheduler.EnvelopePayload(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := snap.NewReader(payload, "DSEN", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Int() // the round batch
+	inner := r.Blob()
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	withBatch := func(batch int) []byte {
+		pw := snap.NewWriter("DSEN", 1)
+		pw.Int(batch)
+		pw.Blob(inner)
+		return scheduler.Envelope("se-dist", w.Graph.NumTasks(), w.System.NumMachines(), w.Graph.NumItems(), pw.Bytes())
+	}
+	if _, err := scheduler.Restore("se-dist", withBatch(serve.MaxStepsPerRequest), w.Graph, w.System); err != nil {
+		t.Fatalf("batch at the cap rejected: %v", err)
+	}
+	for _, batch := range []int{0, serve.MaxStepsPerRequest + 1, 1 << 40} {
+		if _, err := scheduler.Restore("se-dist", withBatch(batch), w.Graph, w.System); err == nil {
+			t.Errorf("batch %d restored, want an error", batch)
+		}
+	}
 }
 
 // TestRestoredEngineMetrics: a restored coordinator keeps its instruments

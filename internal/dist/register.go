@@ -31,14 +31,13 @@ type seDistStepper struct{ *Engine }
 func openSEDist(cfg scheduler.Config, g *taskgraph.Graph, sys *platform.System) (scheduler.Stepper, error) {
 	e, err := NewEngine(g, sys, Options{
 		Shard: shard.Options{
-			Shards:          cfg.Shards,
-			ReconcileSweeps: cfg.ReconcileSweeps,
-			Bias:            cfg.Bias,
-			Y:               cfg.Y,
-			PerturbAfter:    cfg.PerturbAfter,
-			Seed:            cfg.Seed,
-			Initial:         cfg.Initial,
-			MaxParallel:     cfg.Workers,
+			Shards:       cfg.Shards,
+			Bias:         cfg.Bias,
+			Y:            cfg.Y,
+			PerturbAfter: cfg.PerturbAfter,
+			Seed:         cfg.Seed,
+			Initial:      cfg.Initial,
+			MaxParallel:  cfg.Workers,
 		},
 		RoundBatch: cfg.RoundBatch,
 		WorkerURLs: cfg.WorkerURLs,

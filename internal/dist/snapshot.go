@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/platform"
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/snap"
 	"repro/internal/taskgraph"
@@ -44,8 +45,8 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("dist: restore: %w", err)
 	}
-	if batch < 1 {
-		return nil, fmt.Errorf("dist: restore: round batch %d, want >= 1", batch)
+	if batch < 1 || batch > serve.MaxStepsPerRequest {
+		return nil, fmt.Errorf("dist: restore: round batch %d, want in [1, %d]", batch, serve.MaxStepsPerRequest)
 	}
 	local, err := shard.RestoreEngine(inner, g, sys)
 	if err != nil {

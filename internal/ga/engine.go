@@ -3,7 +3,6 @@ package ga
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -55,21 +54,10 @@ type Engine struct {
 	bufs     []schedule.String
 	posBuf   []int
 	fitness  []float64
-	sorter   chromoSorter       // elitism sort scratch (evolve)
 	xbuf1    []taskgraph.TaskID // order-crossover child scratch
 	xbuf2    []taskgraph.TaskID // order-crossover child scratch
 	inPrefix []bool             // order-crossover membership scratch
 }
-
-// chromoSorter stable-sorts a chromosome slice by cost. It exists (rather
-// than sort.SliceStable) so evolve's elitism sort runs through a pointer
-// receiver with zero per-call allocations; stable sorting makes the order
-// deterministic either way.
-type chromoSorter struct{ cs []*chromosome }
-
-func (s *chromoSorter) Len() int           { return len(s.cs) }
-func (s *chromoSorter) Less(i, j int) bool { return s.cs[i].cost < s.cs[j].cost }
-func (s *chromoSorter) Swap(i, j int)      { s.cs[i], s.cs[j] = s.cs[j], s.cs[i] }
 
 // cloneOf is chromosome.clone through the engine's freelist: a retired
 // chromosome's slices are reused when one is available (every chromosome
@@ -92,7 +80,7 @@ func (e *Engine) cloneOf(src *chromosome) *chromosome {
 // NewEngine validates opts and builds a ready-to-Step engine with its
 // initial population drawn.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
-	e, err := newShell(g, sys, opts)
+	e, err := newShell(g, sys, opts, xrand.NewSource(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -105,18 +93,15 @@ func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine,
 	return e, nil
 }
 
-// newShell builds an engine with everything but the population — the
-// shared half of NewEngine and the snapshot Restore path.
-func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
+// newShell builds an engine drawing from src with everything but the
+// population — the shared half of NewEngine and the snapshot Restore path.
+func newShell(g *taskgraph.Graph, sys *platform.System, opts Options, src *xrand.Source) (*Engine, error) {
 	if g.NumTasks() != sys.NumTasks() {
 		return nil, fmt.Errorf("ga: graph has %d tasks but system is sized for %d", g.NumTasks(), sys.NumTasks())
 	}
 	opts = opts.withDefaults()
 	if opts.PopulationSize < 2 {
 		return nil, fmt.Errorf("ga: PopulationSize = %d, want >= 2", opts.PopulationSize)
-	}
-	if opts.Elitism < 0 || opts.Elitism >= opts.PopulationSize {
-		return nil, fmt.Errorf("ga: Elitism = %d, want in [0, PopulationSize)", opts.Elitism)
 	}
 	if opts.CrossoverRate < 0 || opts.CrossoverRate > 1 {
 		return nil, fmt.Errorf("ga: CrossoverRate = %v, want in [0,1]", opts.CrossoverRate)
@@ -137,12 +122,11 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 	if most := opts.PopulationSize/2 + 1; workers > most {
 		workers = most
 	}
-	rng, src := xrand.New(opts.Seed)
 	e := &Engine{
 		g:        g,
 		sys:      sys,
 		opts:     opts,
-		rng:      rng,
+		rng:      src.Rand(),
 		src:      src,
 		posBuf:   make([]int, g.NumTasks()),
 		fitness:  make([]float64, opts.PopulationSize),
@@ -150,7 +134,6 @@ func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, 
 		xbuf2:    make([]taskgraph.TaskID, g.NumTasks()),
 		inPrefix: make([]bool, g.NumTasks()),
 	}
-	e.sorter.cs = make([]*chromosome, 0, opts.PopulationSize)
 	for i := 0; i < workers; i++ {
 		e.evals = append(e.evals, schedule.NewEvaluator(g, sys))
 		e.bufs = append(e.bufs, make(schedule.String, g.NumTasks()))
@@ -213,7 +196,7 @@ func (e *Engine) Step() schedule.Progress {
 		Best:      e.best.cost,
 		Elapsed:   e.elapsed + time.Since(start),
 	}
-	e.evolve()
+	e.evolve(genBest)
 	e.gen++
 	e.elapsed += time.Since(start)
 	return stats
@@ -246,7 +229,7 @@ func (e *Engine) counts() schedule.EvalCounts {
 
 // evaluate computes every chromosome's schedule length, optionally fanned
 // out over the worker evaluators, and returns the generation's best
-// chromosome.
+// chromosome: the first one, in population order, of least cost.
 func (e *Engine) evaluate() (genBest *chromosome) {
 	nw := len(e.evals)
 	if nw > 1 && len(e.pop) >= 2*nw {
@@ -293,9 +276,11 @@ func (e *Engine) costOf(c *chromosome, worker int) float64 {
 	return e.evals[worker].Makespan(buf)
 }
 
-// evolve produces the next generation: elitism, roulette-wheel selection on
-// fitness = (worst cost − cost), crossover, mutation.
-func (e *Engine) evolve() {
+// evolve produces the next generation from the evaluated population and
+// its best chromosome genBest: genBest carried over unchanged, then
+// roulette-wheel selection on fitness = (worst cost − cost), crossover,
+// mutation.
+func (e *Engine) evolve(genBest *chromosome) {
 	// After the swap at the end of the previous evolve, e.next holds the
 	// retired generation: every survivor was cloned into the current
 	// population, so nothing else references these chromosomes and they
@@ -303,17 +288,14 @@ func (e *Engine) evolve() {
 	e.free = append(e.free, e.next...)
 	e.next = e.next[:0]
 
-	// Elitism: carry the best chromosomes over unchanged.
-	e.sorter.cs = append(e.sorter.cs[:0], e.pop...)
-	sort.Stable(&e.sorter)
-	byCost := e.sorter.cs
-	for i := 0; i < e.opts.Elitism; i++ {
-		e.next = append(e.next, e.cloneOf(byCost[i]))
-	}
+	e.next = append(e.next, e.cloneOf(genBest))
 
 	// Roulette wheel: fitness is the cost headroom below the generation's
 	// worst. A uniform wheel results when all costs are equal.
-	worst := byCost[len(byCost)-1].cost
+	worst := genBest.cost
+	for _, c := range e.pop {
+		worst = max(worst, c.cost)
+	}
 	totalFit := 0.0
 	for i, c := range e.pop {
 		f := worst - c.cost

@@ -12,10 +12,11 @@
 //   - a scheduling string: a topological order of the tasks.
 //
 // One generation performs cost evaluation (schedule length, via the same
-// evaluator SE uses), elitist roulette-wheel selection, topology-preserving
-// order crossover plus one-point matching crossover, and machine- and
-// order-mutation. The caller's Step loop (or scheduler.Drive) decides
-// when evolution stops.
+// evaluator SE uses), roulette-wheel selection that carries the
+// generation's best chromosome over unchanged (Wang et al. always
+// preserve the best), topology-preserving order crossover plus one-point
+// matching crossover, and machine- and order-mutation. The caller's Step
+// loop (or scheduler.Drive) decides when evolution stops.
 package ga
 
 import "repro/internal/schedule"
@@ -34,10 +35,6 @@ type Options struct {
 	// MutationRate is the per-chromosome probability of applying each
 	// mutation operator (default 0.15).
 	MutationRate float64
-
-	// Elitism is the number of best chromosomes copied unchanged into the
-	// next generation (default 1; Wang et al. always preserve the best).
-	Elitism int
 
 	// Seed drives all randomness.
 	Seed int64
@@ -60,9 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MutationRate == 0 {
 		o.MutationRate = 0.15
-	}
-	if o.Elitism == 0 {
-		o.Elitism = 1
 	}
 	return o
 }

@@ -186,7 +186,6 @@ func TestOptionErrors(t *testing.T) {
 			return err
 		}, "stopping criterion"},
 		{"tiny population", engine(ga.Options{PopulationSize: 1}), "PopulationSize"},
-		{"elitism too large", engine(ga.Options{PopulationSize: 4, Elitism: 4}), "Elitism"},
 		{"bad crossover", engine(ga.Options{CrossoverRate: 1.5}), "CrossoverRate"},
 		{"bad mutation", engine(ga.Options{MutationRate: -0.5}), "MutationRate"},
 		{"bad initial", engine(ga.Options{Initial: schedule.String{{Task: 0, Machine: 0}}}), "Initial"},

@@ -17,8 +17,9 @@ const (
 	// engineSnapVersion 2 added the effort ledger, so restored searches
 	// report cumulative evaluation counts; 3 dropped the
 	// evaluator-selection flag and the pinned bases of the retired
-	// incremental fitness path.
-	engineSnapVersion = 3
+	// incremental fitness path; 4 dropped the elite count, which is
+	// fixed at one.
+	engineSnapVersion = 4
 )
 
 // appendChromosomeSnap writes c in the combined schedule.String encoding —
@@ -45,11 +46,8 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.Int(e.opts.PopulationSize)
 	w.F64(e.opts.CrossoverRate)
 	w.F64(e.opts.MutationRate)
-	w.Int(e.opts.Elitism)
 	w.Int(e.opts.Workers)
-	seed, draws := e.src.Snapshot()
-	w.I64(seed)
-	w.U64(draws)
+	e.src.AppendSnap(w)
 	w.Int(len(e.pop))
 	for _, c := range e.pop {
 		appendChromosomeSnap(w, c)
@@ -62,11 +60,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.Int(e.gen)
 	w.Int(e.sinceImproved)
 	w.I64(int64(e.elapsed))
-	counts := e.counts()
-	w.U64(counts.Full)
-	w.U64(counts.Delta)
-	w.U64(counts.Aborted)
-	w.U64(counts.Genes)
+	e.counts().AppendSnap(w)
 	return w.Detach(), nil
 }
 
@@ -83,60 +77,54 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	opts.PopulationSize = r.Int()
 	opts.CrossoverRate = r.F64()
 	opts.MutationRate = r.F64()
-	opts.Elitism = r.Int()
 	opts.Workers = r.Int()
-	seed := r.I64()
-	draws := r.U64()
+	src := xrand.ReadSnap(r)
 	popLen := r.Len(1)
 	var pop []*chromosome
-	readChromosome := func(what string) (*chromosome, error) {
+	// readChromosome's error carries no label: the caller names the
+	// chromosome only when it fails.
+	readChromosome := func() (*chromosome, error) {
 		s := schedule.ReadSnap(r)
-		if r.Err() != nil {
-			return nil, r.Err()
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		if err := schedule.Validate(s, g, sys); err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
+			return nil, err
 		}
 		return &chromosome{order: s.Order(), assign: s.Assignment()}, nil
 	}
 	for i := 0; i < popLen; i++ {
-		c, err := readChromosome(fmt.Sprintf("chromosome %d", i))
+		c, err := readChromosome()
 		if err != nil {
-			return nil, fmt.Errorf("ga: restore: %w", err)
+			return nil, fmt.Errorf("ga: restore: chromosome %d: %w", i, err)
 		}
 		pop = append(pop, c)
 	}
 	var best *chromosome
 	if r.Bool() {
-		best, err = readChromosome("best chromosome")
+		best, err = readChromosome()
 		if err != nil {
-			return nil, fmt.Errorf("ga: restore: %w", err)
+			return nil, fmt.Errorf("ga: restore: best chromosome: %w", err)
 		}
 		best.cost = r.F64()
 	}
 	gen := r.Int()
 	sinceImproved := r.Int()
 	elapsed := time.Duration(r.I64())
-	var base schedule.EvalCounts
-	base.Full = r.U64()
-	base.Delta = r.U64()
-	base.Aborted = r.U64()
-	base.Genes = r.U64()
+	base := schedule.ReadEvalCounts(r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("ga: restore: %w", err)
 	}
 	if gen < 0 || sinceImproved < 0 || elapsed < 0 {
 		return nil, fmt.Errorf("ga: restore: negative counters")
 	}
-	opts.Seed = seed
-	e, err := newShell(g, sys, opts)
+	if want := opts.withDefaults().PopulationSize; popLen != want {
+		return nil, fmt.Errorf("ga: restore: population has %d chromosomes, options say %d", popLen, want)
+	}
+	e, err := newShell(g, sys, opts, src)
 	if err != nil {
 		return nil, fmt.Errorf("ga: restore: %w", err)
 	}
-	if popLen != e.opts.PopulationSize {
-		return nil, fmt.Errorf("ga: restore: population has %d chromosomes, options say %d", popLen, e.opts.PopulationSize)
-	}
-	e.rng, e.src = xrand.NewRestored(seed, draws)
 	e.pop = pop
 	e.best = best
 	e.gen = gen

@@ -13,7 +13,17 @@ import (
 // subproblem — internal/shard pairs it with taskgraph.Induce so each DAG
 // region can be scheduled by any unchanged scheduler, machine IDs staying
 // globally meaningful.
+//
+// The IDs must be distinct, as taskgraph.Induce returns them. The parent
+// passed New's checks, and every sub-matrix entry is one of its entries, so
+// the sub-matrices pass them too and Subsystem builds the result directly:
+// no re-validation and no second copy of the sub-matrices, and task i
+// shares the parent's ranked-machine row for tasks[i] (read-only, and
+// exactly the row New would sort from the same execution times).
 func (s *System) Subsystem(tasks []taskgraph.TaskID, items []taskgraph.ItemID) (*System, error) {
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("platform: Subsystem: no tasks")
+	}
 	for _, t := range tasks {
 		if t < 0 || int(t) >= s.tasks {
 			return nil, fmt.Errorf("platform: Subsystem: task %d out of range [0,%d)", t, s.tasks)
@@ -24,25 +34,32 @@ func (s *System) Subsystem(tasks []taskgraph.TaskID, items []taskgraph.ItemID) (
 			return nil, fmt.Errorf("platform: Subsystem: item %d out of range [0,%d)", d, s.items)
 		}
 	}
-	exec := make([][]float64, s.machines)
-	for m := range exec {
+	sub := &System{
+		machines: s.machines,
+		tasks:    len(tasks),
+		items:    len(items),
+		exec:     make([][]float64, s.machines),
+		ranked:   make([][]taskgraph.MachineID, len(tasks)),
+	}
+	for m := range sub.exec {
 		row := make([]float64, len(tasks))
 		for i, t := range tasks {
 			row[i] = s.exec[m][t]
 		}
-		exec[m] = row
+		sub.exec[m] = row
 	}
-	var transfer [][]float64
+	for i, t := range tasks {
+		sub.ranked[i] = s.ranked[t]
+	}
 	if len(items) > 0 {
-		pairs := s.machines * (s.machines - 1) / 2
-		transfer = make([][]float64, pairs)
-		for p := 0; p < pairs; p++ {
+		sub.transfer = make([][]float64, len(s.transfer))
+		for p, parent := range s.transfer {
 			row := make([]float64, len(items))
 			for i, d := range items {
-				row[i] = s.transfer[p][d]
+				row[i] = parent[d]
 			}
-			transfer[p] = row
+			sub.transfer[p] = row
 		}
 	}
-	return New(len(tasks), len(items), exec, transfer)
+	return sub, nil
 }

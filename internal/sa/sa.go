@@ -19,19 +19,18 @@ import (
 	"repro/internal/xrand"
 )
 
+// The annealing schedule is fixed: the walk starts at 20% of the initial
+// solution's makespan, which accepts most early uphill moves, proposes one
+// move per task in each temperature block, and cools geometrically by
+// cooling after every block.
+const (
+	initialTempShare = 0.2
+	cooling          = 0.98
+)
+
 // Options configures one SA walk. The caller's Step loop (or
 // scheduler.Drive) bounds it.
 type Options struct {
-	// InitialTemp is the starting temperature; 0 derives it from the
-	// initial solution (20% of its makespan), which accepts most early
-	// uphill moves.
-	InitialTemp float64
-	// Cooling is the geometric cooling factor applied once per block of
-	// MovesPerTemp moves (default 0.98).
-	Cooling float64
-	// MovesPerTemp is the number of proposed moves per temperature step
-	// (default: the task count).
-	MovesPerTemp int
 	// Seed drives all randomness.
 	Seed int64
 	// Initial, when non-nil, is the starting solution (cloned); otherwise
@@ -43,12 +42,11 @@ type Options struct {
 // time and snapshottable between blocks; it implements scheduler.Stepper
 // directly. Engines are not safe for concurrent use.
 type Engine struct {
-	g    *taskgraph.Graph
-	sys  *platform.System
-	opts Options
-	rng  *rand.Rand
-	src  *xrand.Source
-	inc  *schedule.DeltaEvaluator
+	g   *taskgraph.Graph
+	sys *platform.System
+	rng *rand.Rand
+	src *xrand.Source
+	inc *schedule.DeltaEvaluator
 
 	cur   schedule.String
 	curMs float64
@@ -74,7 +72,7 @@ type Engine struct {
 
 // NewEngine validates opts and builds a ready-to-Step engine.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
-	e, err := newShell(g, sys, opts)
+	e, err := newShell(g, sys, xrand.NewSource(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -94,35 +92,21 @@ func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine,
 	e.curMs, _ = e.inc.Pin(e.cur)
 	e.best = e.cur.Clone()
 	e.bestMs = e.curMs
-	e.temp = e.opts.InitialTemp
-	if e.temp <= 0 {
-		e.temp = 0.2 * e.curMs
-	}
+	e.temp = initialTempShare * e.curMs
 	e.cur.Positions(e.pos)
 	return e, nil
 }
 
-// newShell builds an engine with everything but the walk state — the
-// shared half of NewEngine and the snapshot Restore path.
-func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
+// newShell builds an engine drawing from src with everything but the
+// walk state — the shared half of NewEngine and the snapshot Restore path.
+func newShell(g *taskgraph.Graph, sys *platform.System, src *xrand.Source) (*Engine, error) {
 	if g.NumTasks() != sys.NumTasks() {
 		return nil, fmt.Errorf("sa: graph has %d tasks but system is sized for %d", g.NumTasks(), sys.NumTasks())
 	}
-	if opts.Cooling == 0 {
-		opts.Cooling = 0.98
-	}
-	if opts.Cooling <= 0 || opts.Cooling >= 1 {
-		return nil, fmt.Errorf("sa: Cooling = %v, want in (0,1)", opts.Cooling)
-	}
-	if opts.MovesPerTemp <= 0 {
-		opts.MovesPerTemp = g.NumTasks()
-	}
-	rng, src := xrand.New(opts.Seed)
 	e := &Engine{
 		g:    g,
 		sys:  sys,
-		opts: opts,
-		rng:  rng,
+		rng:  src.Rand(),
 		src:  src,
 		inc:  schedule.NewDeltaEvaluator(g, sys),
 		cand: make(schedule.String, g.NumTasks()),
@@ -138,21 +122,22 @@ func (e *Engine) Moves() int { return e.moves }
 func (e *Engine) Accepted() int { return e.accepted }
 
 // Stalled converts from Budget iterations (temperature blocks) to SA's
-// native stagnation unit: it reports whether the last noImprove×MovesPerTemp
-// proposed moves all failed to improve the best makespan.
+// native stagnation unit: it reports whether the last noImprove blocks'
+// proposed moves, one per task each, all failed to improve the best
+// makespan.
 func (e *Engine) Stalled(noImprove int) bool {
-	return e.sinceImproved >= noImprove*e.opts.MovesPerTemp
+	return e.sinceImproved >= noImprove*e.g.NumTasks()
 }
 
 // Done reports false: the walk has no intrinsic exhaustion point.
 func (e *Engine) Done() bool { return false }
 
-// Step runs one temperature block of MovesPerTemp Metropolis moves, cools
-// the temperature, and returns the block's observation.
+// Step runs one temperature block of Metropolis moves, one per task,
+// cools the temperature, and returns the block's observation.
 func (e *Engine) Step() schedule.Progress {
 	start := time.Now()
 	n := e.g.NumTasks()
-	for i := 0; i < e.opts.MovesPerTemp; i++ {
+	for i := 0; i < n; i++ {
 		// Propose: random task to a random valid position on a random
 		// machine.
 		idx := e.rng.Intn(n)
@@ -191,7 +176,7 @@ func (e *Engine) Step() schedule.Progress {
 		Elapsed:   e.elapsed + time.Since(start),
 	}
 	e.blocks++
-	e.temp *= e.opts.Cooling
+	e.temp *= cooling
 	e.elapsed += time.Since(start)
 	return stats
 }

@@ -147,10 +147,6 @@ func TestOptionErrors(t *testing.T) {
 			}
 			return err
 		}, "stopping criterion"},
-		{"bad cooling", func() error {
-			_, err := sa.NewEngine(w.Graph, w.System, sa.Options{Cooling: 1.5})
-			return err
-		}, "Cooling"},
 		{"bad initial", func() error {
 			_, err := sa.NewEngine(w.Graph, w.System, sa.Options{Initial: schedule.String{{Task: 0, Machine: 0}}})
 			return err

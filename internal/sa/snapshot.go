@@ -16,23 +16,20 @@ const (
 	engineSnapMagic = "SAEN"
 	// engineSnapVersion 2 added the effort ledger, so restored walks
 	// report cumulative evaluation counts; 3 dropped the
-	// evaluator-selection flag.
-	engineSnapVersion = 3
+	// evaluator-selection flag; 4 dropped the cooling factor and
+	// moves-per-block count, which are fixed.
+	engineSnapVersion = 4
 )
 
-// Snapshot encodes the walk's complete state — options, rng stream
-// position, current and best solutions, temperature and counters — as a
+// Snapshot encodes the walk's complete state — rng stream position,
+// current and best solutions, temperature and counters — as a
 // versioned, deterministic byte string. A restored engine continues
 // bit-identically. The current makespan travels as IEEE-754 bits so
 // Metropolis deltas after a restore are computed against exactly the
 // value the uninterrupted walk would have used.
 func (e *Engine) Snapshot() ([]byte, error) {
 	w := snap.Borrow(engineSnapMagic, engineSnapVersion)
-	w.F64(e.opts.Cooling)
-	w.Int(e.opts.MovesPerTemp)
-	seed, draws := e.src.Snapshot()
-	w.I64(seed)
-	w.U64(draws)
+	e.src.AppendSnap(w)
 	schedule.AppendSnap(w, e.cur)
 	schedule.AppendSnap(w, e.best)
 	w.F64(e.curMs)
@@ -43,11 +40,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.Int(e.blocks)
 	w.Int(e.sinceImproved)
 	w.I64(int64(e.elapsed))
-	counts := e.counts()
-	w.U64(counts.Full)
-	w.U64(counts.Delta)
-	w.U64(counts.Aborted)
-	w.U64(counts.Genes)
+	e.counts().AppendSnap(w)
 	return w.Detach(), nil
 }
 
@@ -59,11 +52,7 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	if err != nil {
 		return nil, fmt.Errorf("sa: restore: %w", err)
 	}
-	var opts Options
-	opts.Cooling = r.F64()
-	opts.MovesPerTemp = r.Int()
-	seed := r.I64()
-	draws := r.U64()
+	src := xrand.ReadSnap(r)
 	cur := schedule.ReadSnap(r)
 	best := schedule.ReadSnap(r)
 	curMs := r.F64()
@@ -74,11 +63,7 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	blocks := r.Int()
 	sinceImproved := r.Int()
 	elapsed := time.Duration(r.I64())
-	var base schedule.EvalCounts
-	base.Full = r.U64()
-	base.Delta = r.U64()
-	base.Aborted = r.U64()
-	base.Genes = r.U64()
+	base := schedule.ReadEvalCounts(r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("sa: restore: %w", err)
 	}
@@ -88,18 +73,16 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	if temp <= 0 {
 		return nil, fmt.Errorf("sa: restore: temperature %v, want > 0", temp)
 	}
-	opts.Seed = seed
-	e, err := newShell(g, sys, opts)
-	if err != nil {
-		return nil, fmt.Errorf("sa: restore: %w", err)
-	}
 	if err := schedule.Validate(cur, g, sys); err != nil {
 		return nil, fmt.Errorf("sa: restore: current solution: %w", err)
 	}
 	if err := schedule.Validate(best, g, sys); err != nil {
 		return nil, fmt.Errorf("sa: restore: best solution: %w", err)
 	}
-	e.rng, e.src = xrand.NewRestored(seed, draws)
+	e, err := newShell(g, sys, src)
+	if err != nil {
+		return nil, fmt.Errorf("sa: restore: %w", err)
+	}
 	e.cur = cur
 	e.best = best
 	e.curMs = curMs

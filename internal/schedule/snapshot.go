@@ -29,3 +29,23 @@ func ReadSnap(r *snap.Reader) String {
 	}
 	return s
 }
+
+// AppendSnap writes the ledger's four counters — Full, Delta, Aborted,
+// Genes — as the effort field every engine snapshot shares.
+func (c EvalCounts) AppendSnap(w *snap.Writer) {
+	w.U64(c.Full)
+	w.U64(c.Delta)
+	w.U64(c.Aborted)
+	w.U64(c.Genes)
+}
+
+// ReadEvalCounts decodes an EvalCounts.AppendSnap field. Structural
+// corruption latches the reader's error.
+func ReadEvalCounts(r *snap.Reader) EvalCounts {
+	var c EvalCounts
+	c.Full = r.U64()
+	c.Delta = r.U64()
+	c.Aborted = r.U64()
+	c.Genes = r.U64()
+	return c
+}

@@ -31,14 +31,13 @@ func init() {
 		"SE over weakly-coupled DAG regions in parallel, with boundary reconciliation",
 		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
 			return stepper(shard.NewEngine(g, sys, shard.Options{
-				Shards:          cfg.Shards,
-				ReconcileSweeps: cfg.ReconcileSweeps,
-				Bias:            cfg.Bias,
-				Y:               cfg.Y,
-				PerturbAfter:    cfg.PerturbAfter,
-				Seed:            cfg.Seed,
-				Initial:         cfg.Initial,
-				MaxParallel:     cfg.Workers,
+				Shards:       cfg.Shards,
+				Bias:         cfg.Bias,
+				Y:            cfg.Y,
+				PerturbAfter: cfg.PerturbAfter,
+				Seed:         cfg.Seed,
+				Initial:      cfg.Initial,
+				MaxParallel:  cfg.Workers,
 			}))
 		},
 		func(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
@@ -51,7 +50,6 @@ func init() {
 				PopulationSize: cfg.Population,
 				CrossoverRate:  cfg.Crossover,
 				MutationRate:   cfg.Mutation,
-				Elitism:        cfg.Elitism,
 				Seed:           cfg.Seed,
 				Workers:        cfg.Workers,
 				Initial:        cfg.Initial,
@@ -64,11 +62,8 @@ func init() {
 		"simulated annealing over the same move space as SE",
 		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
 			return stepper(sa.NewEngine(g, sys, sa.Options{
-				InitialTemp:  cfg.InitialTemp,
-				Cooling:      cfg.Cooling,
-				MovesPerTemp: cfg.MovesPerTemp,
-				Seed:         cfg.Seed,
-				Initial:      cfg.Initial,
+				Seed:    cfg.Seed,
+				Initial: cfg.Initial,
 			}))
 		},
 		func(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
@@ -78,10 +73,8 @@ func init() {
 		"tabu search over the same move space as SE",
 		func(cfg Config, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {
 			return stepper(tabu.NewEngine(g, sys, tabu.Options{
-				Tenure:       cfg.Tenure,
-				Neighborhood: cfg.Neighborhood,
-				Seed:         cfg.Seed,
-				Initial:      cfg.Initial,
+				Seed:    cfg.Seed,
+				Initial: cfg.Initial,
 			}))
 		},
 		func(data []byte, g *taskgraph.Graph, sys *platform.System) (Stepper, error) {

@@ -34,30 +34,12 @@ type Config struct {
 	Crossover float64
 	// Mutation is GA's per-chromosome mutation rate (0 = default).
 	Mutation float64
-	// Elitism is GA's number of preserved best chromosomes (0 = default).
-	Elitism int
-
-	// InitialTemp is SA's starting temperature (0 = derived).
-	InitialTemp float64
-	// Cooling is SA's geometric cooling factor (0 = default).
-	Cooling float64
-	// MovesPerTemp is SA's moves per temperature block (0 = task count).
-	MovesPerTemp int
-
-	// Tenure is tabu search's tabu tenure (0 = default).
-	Tenure int
-	// Neighborhood is tabu search's sampled moves per iteration
-	// (0 = task count).
-	Neighborhood int
 
 	// Shards is se-shard's requested region count. 0 picks it adaptively
 	// from the DAG depth, the candidate partitions' residual coupling and
 	// GOMAXPROCS (shard.AdaptiveShards); the count is clamped to the DAG
 	// depth, and 1 effective region runs serial SE.
 	Shards int
-	// ReconcileSweeps bounds se-shard's boundary-reconciliation pass
-	// (0 = shard.DefaultReconcileSweeps, negative = none).
-	ReconcileSweeps int
 
 	// WorkerURLs lists the base URLs of remote mshd workers for se-dist's
 	// coordinator to dispatch shard regions to. Empty means step every
@@ -116,29 +98,8 @@ func WithCrossover(rate float64) Option { return func(c *Config) { c.Crossover =
 // WithMutation sets GA's mutation rate.
 func WithMutation(rate float64) Option { return func(c *Config) { c.Mutation = rate } }
 
-// WithElitism sets GA's elite count.
-func WithElitism(n int) Option { return func(c *Config) { c.Elitism = n } }
-
-// WithInitialTemp sets SA's starting temperature.
-func WithInitialTemp(t float64) Option { return func(c *Config) { c.InitialTemp = t } }
-
-// WithCooling sets SA's geometric cooling factor.
-func WithCooling(f float64) Option { return func(c *Config) { c.Cooling = f } }
-
-// WithMovesPerTemp sets SA's moves per temperature block.
-func WithMovesPerTemp(n int) Option { return func(c *Config) { c.MovesPerTemp = n } }
-
-// WithTenure sets tabu search's tabu tenure.
-func WithTenure(n int) Option { return func(c *Config) { c.Tenure = n } }
-
-// WithNeighborhood sets tabu search's sampled moves per iteration.
-func WithNeighborhood(n int) Option { return func(c *Config) { c.Neighborhood = n } }
-
 // WithShards sets se-shard's requested DAG region count (0 = adaptive).
 func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
-
-// WithReconcileSweeps sets se-shard's boundary-reconciliation sweep count.
-func WithReconcileSweeps(n int) Option { return func(c *Config) { c.ReconcileSweeps = n } }
 
 // WithWorkerURLs points se-dist's coordinator at a pool of remote mshd
 // workers (base URLs). An empty list steps regions in-process.

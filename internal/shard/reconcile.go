@@ -10,11 +10,10 @@ import (
 // reconciler owns the merged-string boundary pass: after the per-region
 // sweeps are concatenated, the tasks consuming cross-region data items
 // were placed blind to their input timing, so each of them is re-placed
-// once per sweep with SE's allocation scan — every
-// position in its valid range × its Y best machines, winner by the
-// (makespan, total, q, machine-rank) key — evaluated on the full graph.
-// The number of sweeps bounds the repair: reconciliation is a local
-// polish, not a second global search.
+// exactly once with SE's allocation scan — every position in its valid
+// range × its Y best machines, winner by the (makespan, total, q,
+// machine-rank) key — evaluated on the full graph. One sweep bounds the
+// repair: reconciliation is a local polish, not a second global search.
 type reconciler struct {
 	g   *taskgraph.Graph
 	sys *platform.System
@@ -38,21 +37,19 @@ func newReconciler(g *taskgraph.Graph, sys *platform.System, y int) *reconciler 
 }
 
 // run repairs s (schedule.Repair, a no-op for valid merges), applies the
-// bounded boundary sweeps in place, and returns the reconciled string
-// with its makespan.
-func (r *reconciler) run(s schedule.String, boundary []taskgraph.TaskID, sweeps int) (schedule.String, float64) {
+// boundary sweep in place, and returns the reconciled string with its
+// makespan.
+func (r *reconciler) run(s schedule.String, boundary []taskgraph.TaskID) (schedule.String, float64) {
 	s = schedule.Repair(r.g, s)
-	for sweep := 0; sweep < sweeps; sweep++ {
-		s.Positions(r.pos)
-		for _, t := range boundary {
-			idx := r.pos[t]
-			lo, hi := schedule.ValidRange(r.g, s, r.pos, idx)
-			machines := r.sys.TopMachines(t, r.y)
-			_, q, mi := core.BestMove(r.delta, s, idx, lo, hi, machines)
-			schedule.MoveInto(r.buf, s, idx, q, machines[mi])
-			copy(s, r.buf)
-			schedule.UpdatePositions(r.pos, s, idx, q)
-		}
+	s.Positions(r.pos)
+	for _, t := range boundary {
+		idx := r.pos[t]
+		lo, hi := schedule.ValidRange(r.g, s, r.pos, idx)
+		machines := r.sys.TopMachines(t, r.y)
+		_, q, mi := core.BestMove(r.delta, s, idx, lo, hi, machines)
+		schedule.MoveInto(r.buf, s, idx, q, machines[mi])
+		copy(s, r.buf)
+		schedule.UpdatePositions(r.pos, s, idx, q)
 	}
 	ms, _ := r.delta.Pin(s)
 	return s, ms

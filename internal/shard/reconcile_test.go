@@ -34,28 +34,26 @@ func TestResultMemoMatchesFreshReconcile(t *testing.T) {
 	for _, seed := range []int64{3, 8} {
 		w := shardWorkload(40, seed)
 		for _, shards := range []int{2, 4} {
-			for _, sweeps := range []int{-1, 0, 2} {
-				opts := Options{Shards: shards, ReconcileSweeps: sweeps, Y: 2, Seed: seed}
-				run := func() {
-					e := sweep(t, w, opts, 0)
-					for round := 0; round < 30; round++ {
-						e.Step()
-						key := e.memo.merged
-						got := e.Result()
-						if key != nil && &key[0] == &e.memo.merged[0] {
-							hits++
-						} else {
-							misses++
-						}
-						if want := restoredResult(t, e, w); !reflect.DeepEqual(got, want) {
-							t.Fatalf("seed %d, %+v, round %d: memoized Result %+v != fresh %+v",
-								seed, opts, round, got, want)
-						}
+			opts := Options{Shards: shards, Y: 2, Seed: seed}
+			run := func() {
+				e := sweep(t, w, opts, 0)
+				for round := 0; round < 30; round++ {
+					e.Step()
+					key := e.memo.merged
+					got := e.Result()
+					if key != nil && &key[0] == &e.memo.merged[0] {
+						hits++
+					} else {
+						misses++
+					}
+					if want := restoredResult(t, e, w); !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d, %+v, round %d: memoized Result %+v != fresh %+v",
+							seed, opts, round, got, want)
 					}
 				}
-				run()
-				schedule.Reference(run)
 			}
+			run()
+			schedule.Reference(run)
 		}
 	}
 	if hits == 0 || misses == 0 {

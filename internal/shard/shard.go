@@ -44,10 +44,6 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// DefaultReconcileSweeps is the boundary-sweep count used when
-// Options.ReconcileSweeps is zero.
-const DefaultReconcileSweeps = 1
-
 // Options configures one sharded SE sweep. The caller's Step loop (or
 // scheduler.Drive) bounds every region's sweep.
 type Options struct {
@@ -57,21 +53,15 @@ type Options struct {
 	// the DAG depth; one effective region delegates to serial SE.
 	Shards int
 
-	// ReconcileSweeps bounds the boundary-reconciliation pass: each sweep
-	// re-places every cross-region task once on the merged string
-	// (0 = DefaultReconcileSweeps, negative = no sweeps).
-	ReconcileSweeps int
-
 	// MaxParallel caps the number of regions sweeping concurrently
 	// (0 = all at once).
 	MaxParallel int
 
-	// Bias, Y, InitialMoves and PerturbAfter configure each region's SE
-	// engine exactly as in core.Options; Y also bounds the candidate
-	// machines of the reconciliation scan.
+	// Bias, Y and PerturbAfter configure each region's SE engine exactly
+	// as in core.Options; Y also bounds the candidate machines of the
+	// reconciliation scan.
 	Bias         float64
 	Y            int
-	InitialMoves int
 	PerturbAfter int
 
 	// Seed drives all randomness. Region r runs under a seed derived
@@ -99,7 +89,6 @@ func regionSeed(seed int64, r int) int64 {
 type regionProblem struct {
 	induced *taskgraph.Induced
 	sys     *platform.System
-	initial schedule.String
 }
 
 // Engine is one sharded SE sweep in progress: per-region serial SE
@@ -135,8 +124,8 @@ type Engine struct {
 }
 
 // reconciled is one reconciliation's input and output. Reconciliation is
-// a pure function of the merged string (the partition, boundary set, Y
-// and sweep count are fixed per engine), so Result reuses it for
+// a pure function of the merged string (the partition, boundary set and
+// Y are fixed per engine), so Result reuses it for
 // as long as the regions' bests merge to the same string. It is derived
 // state, not search state: snapshots omit it and a restored engine
 // reconciles afresh on its first Result.
@@ -150,42 +139,15 @@ type reconciled struct {
 // NewEngine partitions g and builds one SE engine per region, ready to
 // Step. The caller's Step loop bounds the sweep.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
-	if g.NumTasks() != sys.NumTasks() {
-		return nil, fmt.Errorf("shard: graph has %d tasks but system is sized for %d", g.NumTasks(), sys.NumTasks())
-	}
-	if g.NumItems() != sys.NumItems() {
-		return nil, fmt.Errorf("shard: graph has %d items but system is sized for %d", g.NumItems(), sys.NumItems())
-	}
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("shard: Shards = %d, want >= 0", opts.Shards)
 	}
-	shards := opts.Shards
-	if shards == 0 {
-		shards = AdaptiveShards(g)
+	if opts.Shards == 0 {
+		opts.Shards = AdaptiveShards(g)
 	}
-	opts.Shards = shards
-	return newEngineResolved(g, sys, opts)
-}
-
-// newEngineResolved builds the engine for an already-resolved shard count
-// (opts.Shards > 0) — the shared half of NewEngine and the snapshot
-// Restore path, which must not re-run the adaptive (machine-dependent)
-// resolution.
-func newEngineResolved(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
-	part := PartitionLevelBands(g, opts.Shards)
-	k := part.NumRegions()
-	e := &Engine{
-		g:          g,
-		sys:        sys,
-		opts:       opts,
-		part:       part,
-		single:     k == 1,
-		stalled:    make([]bool, k),
-		regionBest: make([]float64, k),
-		roundStats: make([]schedule.Progress, k),
-	}
-	if opts.MaxParallel > 0 && opts.MaxParallel < k {
-		e.sem = make(chan struct{}, opts.MaxParallel)
+	e, err := newShell(g, sys, opts)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Initial != nil {
 		if err := schedule.Validate(opts.Initial, g, sys); err != nil {
@@ -204,11 +166,66 @@ func newEngineResolved(g *taskgraph.Graph, sys *platform.System, opts Options) (
 		if err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
-		e.engines = []*core.Engine{eng}
-		e.problems = make([]regionProblem, 1)
+		e.engines[0] = eng
 		return e, nil
 	}
+	for r, p := range e.problems {
+		copts := regionOptions(opts, r)
+		if opts.Initial != nil {
+			local := make([]taskgraph.TaskID, g.NumTasks()) // parent → local
+			for i := range local {
+				local[i] = -1
+			}
+			for i, parent := range p.induced.Tasks {
+				local[parent] = taskgraph.TaskID(i)
+			}
+			init := make(schedule.String, 0, len(p.induced.Tasks))
+			for _, gene := range opts.Initial {
+				if l := local[gene.Task]; l != -1 {
+					init = append(init, schedule.Gene{Task: l, Machine: gene.Machine})
+				}
+			}
+			copts.Initial = init
+		}
+		eng, err := core.NewEngine(p.induced.Graph, p.sys, copts)
+		if err != nil {
+			return nil, fmt.Errorf("shard: region %d: %w", r, err)
+		}
+		e.engines[r] = eng
+	}
+	return e, nil
+}
 
+// newShell partitions g for an already-resolved shard count
+// (opts.Shards > 0) and induces every region's subproblem: everything but
+// the region engines, which NewEngine builds and RestoreEngine decodes.
+// Restore must not re-run the adaptive (machine-dependent) resolution.
+func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
+	if g.NumTasks() != sys.NumTasks() {
+		return nil, fmt.Errorf("shard: graph has %d tasks but system is sized for %d", g.NumTasks(), sys.NumTasks())
+	}
+	if g.NumItems() != sys.NumItems() {
+		return nil, fmt.Errorf("shard: graph has %d items but system is sized for %d", g.NumItems(), sys.NumItems())
+	}
+	part := PartitionLevelBands(g, opts.Shards)
+	k := part.NumRegions()
+	e := &Engine{
+		g:          g,
+		sys:        sys,
+		opts:       opts,
+		part:       part,
+		single:     k == 1,
+		engines:    make([]*core.Engine, k),
+		stalled:    make([]bool, k),
+		regionBest: make([]float64, k),
+		roundStats: make([]schedule.Progress, k),
+	}
+	if opts.MaxParallel > 0 && opts.MaxParallel < k {
+		e.sem = make(chan struct{}, opts.MaxParallel)
+	}
+	if e.single {
+		return e, nil
+	}
 	e.problems = make([]regionProblem, k)
 	for r, tasks := range part.Regions {
 		induced, err := g.Induce(tasks)
@@ -220,32 +237,6 @@ func newEngineResolved(g *taskgraph.Graph, sys *platform.System, opts Options) (
 			return nil, fmt.Errorf("shard: region %d: %w", r, err)
 		}
 		e.problems[r] = regionProblem{induced: induced, sys: subsys}
-		if opts.Initial != nil {
-			local := make([]taskgraph.TaskID, g.NumTasks()) // parent → local
-			for i := range local {
-				local[i] = -1
-			}
-			for i, parent := range induced.Tasks {
-				local[parent] = taskgraph.TaskID(i)
-			}
-			init := make(schedule.String, 0, len(tasks))
-			for _, gene := range opts.Initial {
-				if l := local[gene.Task]; l != -1 {
-					init = append(init, schedule.Gene{Task: l, Machine: gene.Machine})
-				}
-			}
-			e.problems[r].initial = init
-		}
-	}
-	e.engines = make([]*core.Engine, k)
-	for r := range e.problems {
-		copts := regionOptions(e.opts, r)
-		copts.Initial = e.problems[r].initial
-		eng, err := core.NewEngine(e.problems[r].induced.Graph, e.problems[r].sys, copts)
-		if err != nil {
-			return nil, fmt.Errorf("shard: region %d: %w", r, err)
-		}
-		e.engines[r] = eng
 	}
 	return e, nil
 }
@@ -353,16 +344,10 @@ func (e *Engine) Result() *schedule.Result {
 		counts.Genes += res.GenesEvaluated
 	}
 	if !slices.Equal(merged, e.memo.merged) {
-		sweeps := e.opts.ReconcileSweeps
-		if sweeps == 0 {
-			sweeps = DefaultReconcileSweeps
-		} else if sweeps < 0 {
-			sweeps = 0
-		}
 		rec := newReconciler(e.g, e.sys, e.opts.Y)
 		// run reconciles schedule.Repair's copy, so merged stays intact
 		// as the memo key.
-		best, ms := rec.run(merged, e.part.Boundary(e.g), sweeps)
+		best, ms := rec.run(merged, e.part.Boundary(e.g))
 		e.memo = reconciled{merged: merged, best: best, ms: ms, counts: rec.counts()}
 	}
 	m := &e.memo
@@ -376,7 +361,6 @@ func regionOptions(opts Options, r int) core.Options {
 	return core.Options{
 		Bias:         opts.Bias,
 		Y:            opts.Y,
-		InitialMoves: opts.InitialMoves,
 		PerturbAfter: opts.PerturbAfter,
 		Seed:         regionSeed(opts.Seed, r),
 	}

@@ -144,10 +144,9 @@ func TestReconciliationNeverViolatesPrecedence(t *testing.T) {
 			Seed:          rng.Int63(),
 		})
 		opts := Options{
-			Shards:          2 + rng.Intn(5),
-			Y:               1 + rng.Intn(3),
-			ReconcileSweeps: rng.Intn(3) - 1, // exercise none, default and 1
-			Seed:            rng.Int63(),
+			Shards: 2 + rng.Intn(5),
+			Y:      1 + rng.Intn(3),
+			Seed:   rng.Int63(),
 		}
 		res := sweep(t, w, opts, 5+rng.Intn(10)).Result()
 		if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {

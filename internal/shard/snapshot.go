@@ -14,16 +14,17 @@ import (
 const (
 	engineSnapMagic = "SHEN"
 	// engineSnapVersion 2 dropped the evaluator-selection flag and the
-	// retired "stopped" byte.
-	engineSnapVersion = 2
+	// retired "stopped" byte; 3 dropped the reconciliation sweep count,
+	// which is fixed at one.
+	engineSnapVersion = 3
 )
 
 // Snapshot encodes the sharded sweep's complete state: the resolved
 // region count (recorded, never re-derived, so an adaptively-sized run
-// restores identically on any machine), the reconciliation options, and
-// one embedded core-engine snapshot per region. The partition itself is
-// not encoded — it is a pure function of (graph, resolved count) and is
-// recomputed on restore.
+// restores identically on any machine), the region and reconciliation
+// options, and one embedded core-engine snapshot per region. The
+// partition itself is not encoded — it is a pure function of (graph,
+// resolved count) and is recomputed on restore.
 //
 // Region snapshots are self-contained: the distributed fan-out dispatches
 // exactly these bytes to remote workers, which restore the region engine
@@ -31,7 +32,6 @@ const (
 func (e *Engine) Snapshot() ([]byte, error) {
 	w := snap.Borrow(engineSnapMagic, engineSnapVersion)
 	w.Int(e.opts.Shards)
-	w.Int(e.opts.ReconcileSweeps)
 	w.Int(e.opts.MaxParallel)
 	w.F64(e.opts.Bias)
 	w.Int(e.opts.Y)
@@ -56,7 +56,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 // RestoreEngine rebuilds an Engine from a Snapshot against the same
 // (graph, system) pair: the partition is recomputed from the recorded
 // resolved count, each region's subproblem re-induced, and each region
-// engine restored from its embedded snapshot.
+// engine restored from its embedded snapshot — never first built fresh.
 func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engine, error) {
 	r, err := snap.NewReader(data, engineSnapMagic, engineSnapVersion)
 	if err != nil {
@@ -64,7 +64,6 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	}
 	var opts Options
 	opts.Shards = r.Int()
-	opts.ReconcileSweeps = r.Int()
 	opts.MaxParallel = r.Int()
 	opts.Bias = r.F64()
 	opts.Y = r.Int()
@@ -89,7 +88,7 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	if opts.Shards < 1 || rounds < 0 || elapsed < 0 {
 		return nil, fmt.Errorf("shard: restore: invalid counters (shards %d, rounds %d, elapsed %v)", opts.Shards, rounds, elapsed)
 	}
-	e, err := newEngineResolved(g, sys, opts)
+	e, err := newShell(g, sys, opts)
 	if err != nil {
 		return nil, fmt.Errorf("shard: restore: %w", err)
 	}
@@ -97,10 +96,7 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 		return nil, fmt.Errorf("shard: restore: snapshot has %d regions, partition yields %d", k, len(e.engines))
 	}
 	for i := 0; i < k; i++ {
-		rg, rsys := g, sys
-		if !e.single {
-			rg, rsys = e.problems[i].induced.Graph, e.problems[i].sys
-		}
+		rg, rsys := e.RegionProblem(i)
 		eng, err := core.RestoreEngine(subs[i], rg, rsys)
 		if err != nil {
 			return nil, fmt.Errorf("shard: restore region %d: %w", i, err)

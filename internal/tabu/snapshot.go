@@ -16,22 +16,19 @@ const (
 	engineSnapMagic = "TBEN"
 	// engineSnapVersion 2 added the effort ledger, so restored searches
 	// report cumulative evaluation counts; 3 dropped the
-	// evaluator-selection flag.
-	engineSnapVersion = 3
+	// evaluator-selection flag; 4 dropped the tenure and neighbourhood
+	// size, which are fixed by the task count.
+	engineSnapVersion = 4
 )
 
-// Snapshot encodes the search's complete state — options, rng stream
-// position, current and best solutions, the tabu list and counters — as a
+// Snapshot encodes the search's complete state — rng stream position,
+// current and best solutions, the tabu list and counters — as a
 // versioned, deterministic byte string. A restored engine continues
 // bit-identically: tabuUntil entries are absolute iteration indices, so
 // they carry over unchanged with the iteration counter.
 func (e *Engine) Snapshot() ([]byte, error) {
 	w := snap.Borrow(engineSnapMagic, engineSnapVersion)
-	w.Int(e.opts.Tenure)
-	w.Int(e.opts.Neighborhood)
-	seed, draws := e.src.Snapshot()
-	w.I64(seed)
-	w.U64(draws)
+	e.src.AppendSnap(w)
 	schedule.AppendSnap(w, e.cur)
 	schedule.AppendSnap(w, e.best)
 	w.F64(e.curMs)
@@ -40,11 +37,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.Int(e.iter)
 	w.Int(e.sinceImproved)
 	w.I64(int64(e.elapsed))
-	counts := e.counts()
-	w.U64(counts.Full)
-	w.U64(counts.Delta)
-	w.U64(counts.Aborted)
-	w.U64(counts.Genes)
+	e.counts().AppendSnap(w)
 	return w.Detach(), nil
 }
 
@@ -56,11 +49,7 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	if err != nil {
 		return nil, fmt.Errorf("tabu: restore: %w", err)
 	}
-	var opts Options
-	opts.Tenure = r.Int()
-	opts.Neighborhood = r.Int()
-	seed := r.I64()
-	draws := r.U64()
+	src := xrand.ReadSnap(r)
 	cur := schedule.ReadSnap(r)
 	best := schedule.ReadSnap(r)
 	curMs := r.F64()
@@ -69,11 +58,7 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	iter := r.Int()
 	sinceImproved := r.Int()
 	elapsed := time.Duration(r.I64())
-	var base schedule.EvalCounts
-	base.Full = r.U64()
-	base.Delta = r.U64()
-	base.Aborted = r.U64()
-	base.Genes = r.U64()
+	base := schedule.ReadEvalCounts(r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("tabu: restore: %w", err)
 	}
@@ -83,18 +68,16 @@ func RestoreEngine(data []byte, g *taskgraph.Graph, sys *platform.System) (*Engi
 	if len(tabuUntil) != g.NumTasks() {
 		return nil, fmt.Errorf("tabu: restore: tabu list has %d entries for a %d-task graph", len(tabuUntil), g.NumTasks())
 	}
-	opts.Seed = seed
-	e, err := newShell(g, sys, opts)
-	if err != nil {
-		return nil, fmt.Errorf("tabu: restore: %w", err)
-	}
 	if err := schedule.Validate(cur, g, sys); err != nil {
 		return nil, fmt.Errorf("tabu: restore: current solution: %w", err)
 	}
 	if err := schedule.Validate(best, g, sys); err != nil {
 		return nil, fmt.Errorf("tabu: restore: best solution: %w", err)
 	}
-	e.rng, e.src = xrand.NewRestored(seed, draws)
+	e, err := newShell(g, sys, src)
+	if err != nil {
+		return nil, fmt.Errorf("tabu: restore: %w", err)
+	}
 	e.cur = cur
 	e.best = best
 	e.curMs = curMs

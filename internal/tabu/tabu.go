@@ -6,9 +6,10 @@
 // encoding, move space and evaluator.
 //
 // Each iteration samples a neighbourhood of candidate moves (one task to
-// one valid position on one machine), applies the best move whose task is
-// not tabu — unless it beats the global best (aspiration) — and marks the
-// moved task tabu for Tenure iterations.
+// one valid position on one machine), one per task, applies the best move
+// whose task is not tabu — unless it beats the global best (aspiration) —
+// and marks the moved task tabu for the next max(n/4, 2) iterations of an
+// n-task graph.
 package tabu
 
 import (
@@ -25,12 +26,6 @@ import (
 // Options configures one tabu search. The caller's Step loop (or
 // scheduler.Drive) bounds it.
 type Options struct {
-	// Tenure is how many iterations a moved task stays tabu
-	// (default: task count / 4, at least 2).
-	Tenure int
-	// Neighborhood is the number of candidate moves sampled per iteration
-	// (default: the task count).
-	Neighborhood int
 	// Seed drives all randomness.
 	Seed int64
 	// Initial, when non-nil, is the starting solution (cloned).
@@ -41,12 +36,11 @@ type Options struct {
 // time and snapshottable between iterations; it implements
 // scheduler.Stepper directly. Engines are not safe for concurrent use.
 type Engine struct {
-	g    *taskgraph.Graph
-	sys  *platform.System
-	opts Options
-	rng  *rand.Rand
-	src  *xrand.Source
-	inc  *schedule.DeltaEvaluator
+	g   *taskgraph.Graph
+	sys *platform.System
+	rng *rand.Rand
+	src *xrand.Source
+	inc *schedule.DeltaEvaluator
 
 	cur    schedule.String
 	curMs  float64
@@ -54,6 +48,7 @@ type Engine struct {
 	bestMs float64
 
 	tabuUntil     []int // task → first iteration it may move again
+	tenure        int   // iterations a moved task stays tabu
 	iter          int
 	sinceImproved int
 	elapsed       time.Duration
@@ -68,7 +63,7 @@ type Engine struct {
 
 // NewEngine validates opts and builds a ready-to-Step engine.
 func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
-	e, err := newShell(g, sys, opts)
+	e, err := newShell(g, sys, xrand.NewSource(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -92,31 +87,22 @@ func NewEngine(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine,
 	return e, nil
 }
 
-// newShell builds an engine with everything but the search state — the
-// shared half of NewEngine and the snapshot Restore path.
-func newShell(g *taskgraph.Graph, sys *platform.System, opts Options) (*Engine, error) {
+// newShell builds an engine drawing from src with everything but the
+// search state — the shared half of NewEngine and the snapshot Restore
+// path.
+func newShell(g *taskgraph.Graph, sys *platform.System, src *xrand.Source) (*Engine, error) {
 	if g.NumTasks() != sys.NumTasks() {
 		return nil, fmt.Errorf("tabu: graph has %d tasks but system is sized for %d", g.NumTasks(), sys.NumTasks())
 	}
 	n := g.NumTasks()
-	if opts.Tenure <= 0 {
-		opts.Tenure = n / 4
-		if opts.Tenure < 2 {
-			opts.Tenure = 2
-		}
-	}
-	if opts.Neighborhood <= 0 {
-		opts.Neighborhood = n
-	}
-	rng, src := xrand.New(opts.Seed)
 	e := &Engine{
 		g:         g,
 		sys:       sys,
-		opts:      opts,
-		rng:       rng,
+		rng:       src.Rand(),
 		src:       src,
 		inc:       schedule.NewDeltaEvaluator(g, sys),
 		tabuUntil: make([]int, n),
+		tenure:    max(n/4, 2),
 		applied:   make(schedule.String, n),
 		pos:       make([]int, n),
 	}
@@ -138,12 +124,13 @@ func (e *Engine) Step() schedule.Progress {
 	n := e.g.NumTasks()
 	iter := e.iter
 
-	// Sample the neighbourhood; keep the best admissible move.
+	// Sample the neighbourhood, one move per task; keep the best
+	// admissible move.
 	bestMove := -1.0
 	moved := taskgraph.TaskID(-1)
 	var movedIdx, movedQ int
 	var movedM taskgraph.MachineID
-	for i := 0; i < e.opts.Neighborhood; i++ {
+	for i := 0; i < n; i++ {
 		idx := e.rng.Intn(n)
 		t := e.cur[idx].Task
 		lo, hi := schedule.ValidRange(e.g, e.cur, e.pos, idx)
@@ -186,7 +173,7 @@ func (e *Engine) Step() schedule.Progress {
 		copy(e.cur, e.applied)
 		schedule.UpdatePositions(e.pos, e.cur, movedIdx, movedQ)
 		e.curMs = bestMove
-		e.tabuUntil[moved] = iter + 1 + e.opts.Tenure
+		e.tabuUntil[moved] = iter + 1 + e.tenure
 		if e.curMs < e.bestMs {
 			e.bestMs = e.curMs
 			copy(e.best, e.cur)

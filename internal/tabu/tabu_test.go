@@ -141,16 +141,6 @@ func TestOptionErrors(t *testing.T) {
 	}
 }
 
-func TestTenureBlocksImmediateRevisit(t *testing.T) {
-	// With an enormous tenure every task moves at most once; the run must
-	// still terminate and stay valid.
-	w := smallWorkload()
-	res := run(t, w, tabu.Options{Tenure: 1 << 30, Seed: 3}, 100)
-	if err := schedule.Validate(res.Best, w.Graph, w.System); err != nil {
-		t.Fatalf("invalid: %v", err)
-	}
-}
-
 func TestOnIterationObservesAndStops(t *testing.T) {
 	w := smallWorkload()
 	var calls int

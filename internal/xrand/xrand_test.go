@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/snap"
 	"repro/internal/xrand"
 )
 
@@ -11,7 +12,7 @@ import (
 // rand.NewSource to xrand must keep every historical result bit-identical.
 func TestStreamMatchesMathRand(t *testing.T) {
 	want := rand.New(rand.NewSource(42))
-	got, _ := xrand.New(42)
+	got := xrand.NewSource(42).Rand()
 	for i := 0; i < 1000; i++ {
 		switch i % 4 {
 		case 0:
@@ -34,13 +35,36 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
-// Restoring from (seed, n) must continue the stream exactly where the
-// snapshotted source left off, across every Rand method class — including
-// the rejection-sampled ones (Intn on non-power-of-two bounds, Perm),
-// whose source consumption varies per call.
+// position round-trips src through its snapshot field and returns the
+// (seed, draw count) pair it encodes, plus the decoded Source.
+func position(t *testing.T, src *xrand.Source) (int64, uint64, *xrand.Source) {
+	t.Helper()
+	w := snap.NewWriter("TEST", 1)
+	src.AppendSnap(w)
+	r, err := snap.NewReader(w.Bytes(), "TEST", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, n := r.I64(), r.U64()
+	if r, err = snap.NewReader(w.Bytes(), "TEST", 1); err != nil {
+		t.Fatal(err)
+	}
+	decoded := xrand.ReadSnap(r)
+	if err := r.Done(); err != nil {
+		t.Fatalf("ReadSnap: %v", err)
+	}
+	return seed, n, decoded
+}
+
+// Restoring from the snapshot field must continue the stream exactly
+// where the snapshotted source left off, across every Rand method class —
+// including the rejection-sampled ones (Intn on non-power-of-two bounds,
+// Perm), whose source consumption varies per call. A Copy continues the
+// same way and leaves the original untouched.
 func TestSnapshotRestoreContinuesExactly(t *testing.T) {
 	for _, cut := range []int{0, 1, 7, 100, 333} {
-		orig, src := xrand.New(7)
+		src := xrand.NewSource(7)
+		orig := src.Rand()
 		draw := func(r *rand.Rand, i int) any {
 			switch i % 5 {
 			case 0:
@@ -59,29 +83,33 @@ func TestSnapshotRestoreContinuesExactly(t *testing.T) {
 		for i := 0; i < cut; i++ {
 			draw(orig, i)
 		}
-		seed, n := src.Snapshot()
-		restored, rsrc := xrand.NewRestored(seed, n)
-		if _, rn := rsrc.Snapshot(); rn != n {
+		_, n, decoded := position(t, src)
+		restored := decoded.Rand()
+		if _, rn, _ := position(t, decoded); rn != n {
 			t.Fatalf("cut %d: restored count = %d, want %d", cut, rn, n)
 		}
+		copied := src.Copy().Rand()
 		for i := cut; i < cut+200; i++ {
-			if g, w := draw(restored, i), draw(orig, i); g != w {
+			w := draw(orig, i)
+			if g := draw(restored, i); g != w {
 				t.Fatalf("cut %d, draw %d: restored %v, original %v", cut, i, g, w)
+			}
+			if g := draw(copied, i); g != w {
+				t.Fatalf("cut %d, draw %d: copy %v, original %v", cut, i, g, w)
 			}
 		}
 	}
 }
 
 func TestSeedResetsCount(t *testing.T) {
-	_, src := xrand.New(1)
+	src := xrand.NewSource(1)
 	src.Int63()
 	src.Uint64()
-	if _, n := src.Snapshot(); n != 2 {
+	if _, n, _ := position(t, src); n != 2 {
 		t.Fatalf("count = %d, want 2", n)
 	}
 	src.Seed(5)
-	seed, n := src.Snapshot()
-	if seed != 5 || n != 0 {
+	if seed, n, _ := position(t, src); seed != 5 || n != 0 {
 		t.Fatalf("after Seed(5): (%d, %d), want (5, 0)", seed, n)
 	}
 }
