@@ -93,7 +93,8 @@ type Entry struct {
 	GenesEvaluated uint64  `json:"genes_evaluated,omitempty"`
 	SnapshotBytes  int     `json:"snapshot_bytes"`
 
-	// Snapshot path timing.
+	// Snapshot path timing: the median over the cell's runs of each
+	// run's fastest of snapReps calls.
 	SnapshotEncodeNs float64 `json:"snapshot_encode_ns"`
 	SnapshotDecodeNs float64 `json:"snapshot_decode_ns"`
 }
@@ -225,8 +226,10 @@ const cellRuns = 5
 
 // runCell steps cellRuns fresh searches of one algorithm on one preset
 // and writes the run with the median ns/op, timing fields and allocation
-// counts alike, then times snapshot encode/decode on that run's search.
-// The goldens (makespan, genes, snapshot size) must agree across the runs.
+// counts alike. Snapshot encode and decode are timed on every run's search
+// and written as the median of the runs, each run's time the minimum of
+// snapReps. The goldens (makespan, genes, snapshot size) must agree
+// across the runs.
 func runCell(w *workload.Workload, preset, algo string, steps int, seed int64, shards int) (Entry, error) {
 	type run struct {
 		entry  Entry
@@ -244,21 +247,27 @@ func runCell(w *workload.Workload, preset, algo string, steps int, seed int64, s
 		}
 		runs = append(runs, run{e, search})
 	}
+	encodeNs := make([]float64, 0, cellRuns)
+	decodeNs := make([]float64, 0, cellRuns)
+	for _, r := range runs {
+		snapBytes, enc, err := timeEncode(func() ([]byte, error) { return r.search.Snapshot() })
+		if err != nil {
+			return Entry{}, fmt.Errorf("snapshot: %w", err)
+		}
+		dec, err := timeOp(func() error {
+			_, err := scheduler.Restore(algo, snapBytes, w.Graph, w.System)
+			return err
+		})
+		if err != nil {
+			return Entry{}, fmt.Errorf("restore: %w", err)
+		}
+		encodeNs, decodeNs = append(encodeNs, enc), append(decodeNs, dec)
+	}
 	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.entry.NsPerOp, b.entry.NsPerOp) })
-	entry, search := runs[cellRuns/2].entry, runs[cellRuns/2].search
-
-	snapBytes, encodeNs, err := timeEncode(func() ([]byte, error) { return search.Snapshot() })
-	if err != nil {
-		return Entry{}, fmt.Errorf("snapshot: %w", err)
-	}
-	entry.SnapshotEncodeNs = encodeNs
-	entry.SnapshotDecodeNs, err = timeOp(func() error {
-		_, err := scheduler.Restore(algo, snapBytes, w.Graph, w.System)
-		return err
-	})
-	if err != nil {
-		return Entry{}, fmt.Errorf("restore: %w", err)
-	}
+	slices.Sort(encodeNs)
+	slices.Sort(decodeNs)
+	entry := runs[cellRuns/2].entry
+	entry.SnapshotEncodeNs, entry.SnapshotDecodeNs = encodeNs[cellRuns/2], decodeNs[cellRuns/2]
 	return entry, nil
 }
 

@@ -46,6 +46,7 @@
 //	internal/tabu        tabu-search extension
 //	internal/scheduler   registry, resumable Search API + the Drive budget loop
 //	internal/snap        versioned binary snapshot codec + CRC record framing
+//	internal/jsonscan    one-pass JSON reader for uploaded workload documents
 //	internal/store       durable write-behind session store (crash recovery)
 //	internal/xrand       draw-counting, restorable random source
 //	internal/runner      wall-clock races and parallel trials

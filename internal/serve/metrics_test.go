@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -108,11 +109,20 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		t.Fatalf("performed %d steps, want %d", resp.Performed, steps)
 	}
 
+	// The middleware records a request once its handler returns, which
+	// can be after the client has read the reply: wait, within a bound,
+	// until both observations are in.
+	const createKey = `serve_http_requests_total{endpoint="POST /v1/sessions",code="201"}`
+	const stepKey = `serve_http_request_duration_seconds_count{endpoint="POST /v1/sessions/{id}/search/step"}`
 	s := scrapeMetrics(t, base)
-	if got := s[`serve_http_requests_total{endpoint="POST /v1/sessions",code="201"}`]; got != 1 {
+	for deadline := time.Now().Add(5 * time.Second); (s[createKey] < 1 || s[stepKey] < 1) && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		s = scrapeMetrics(t, base)
+	}
+	if got := s[createKey]; got != 1 {
 		t.Errorf("create-session counter = %v, want 1", got)
 	}
-	if got := s[`serve_http_request_duration_seconds_count{endpoint="POST /v1/sessions/{id}/search/step"}`]; got != 1 {
+	if got := s[stepKey]; got != 1 {
 		t.Errorf("step latency histogram count = %v, want 1", got)
 	}
 	if got := s["serve_sessions_live"]; got != 1 {

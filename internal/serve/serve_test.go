@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -697,5 +698,40 @@ func TestStalledHeaderIsDisconnected(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("connection with an unfinished request line not closed by the server: %v", err)
+	}
+}
+
+// TestDeepNestingIsRejected: a body of 32 MiB of '[' — the most the
+// server reads — and one nesting that deep inside the workload member
+// each get a 400 for exceeding encoding/json's nesting limit, without
+// overflowing the stack, and the server keeps serving.
+func TestDeepNestingIsRejected(t *testing.T) {
+	mgr := serve.NewManager(serve.Options{})
+	srv := httptest.NewServer(serve.NewServer(mgr))
+	t.Cleanup(func() { srv.Close(); mgr.Close() })
+	const bodyCap = 32 << 20 // the server's request body limit
+	bare := bytes.Repeat([]byte("["), bodyCap)
+	inWorkload := bytes.Repeat([]byte("["), bodyCap)
+	copy(inWorkload, `{"workload":`)
+	for name, body := range map[string][]byte{"bare": bare, "in-workload": inWorkload} {
+		start := time.Now()
+		resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var eb serve.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode error body: %v", name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "max depth") {
+			t.Errorf("%s: status %d, error %q; want 400 for exceeding the nesting limit", name, resp.StatusCode, eb.Error)
+		}
+		t.Logf("%s: %d in %v: %s", name, resp.StatusCode, time.Since(start), eb.Error)
+	}
+	client := serve.NewClient(srv.URL)
+	if _, err := client.CreateSession(context.Background(), serve.CreateSessionRequest{Preset: "small"}); err != nil {
+		t.Fatalf("server stopped serving after the nested bodies: %v", err)
 	}
 }

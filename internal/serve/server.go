@@ -225,8 +225,17 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req CreateSessionRequest
-	if !decodeBody(w, r, &req) {
+	// The body is read once: the workload document, nearly all of it, is
+	// cut out by a validating skip and decoded from that sub-slice.
+	var body bytes.Buffer
+	_, readErr := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	req, err := decodeCreateRequest(body.Bytes())
+	if err != nil {
+		if readErr != nil {
+			// The document was cut short: report why.
+			err = readErr
+		}
+		writeErr(w, fmt.Errorf("%w: body: %v", ErrBadRequest, err))
 		return
 	}
 	info, err := s.m.Create(req)

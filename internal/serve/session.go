@@ -17,7 +17,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -114,10 +113,10 @@ type Session struct {
 	lower   float64
 	created time.Time
 
-	// wdoc caches the session's workload encoded as its canonical
-	// document. It is encoded on first use (record) — only the durable
-	// store reads it — and dropped when an amendment replaces w. Worker
-	// goroutine only.
+	// wdoc caches the session's workload document. A revived session
+	// starts with the stored one; any other session encodes it on first
+	// use (record) — only the durable store reads it. It is dropped when
+	// an amendment replaces w. Worker goroutine only.
 	wdoc []byte
 
 	delta  *schedule.DeltaEvaluator
@@ -315,6 +314,9 @@ func (m *Manager) install(id string, w *workload.Workload, base schedule.String,
 			cancel()
 			return nil, err
 		}
+		// w was just decoded from this document, so the revived session
+		// writes it back as stored instead of encoding w again.
+		s.wdoc = rec.Workload
 	}
 	s.publishStatus()
 	// The first record is encoded here and queued together with the table
@@ -800,7 +802,7 @@ func buildWorkload(req CreateSessionRequest) (*workload.Workload, error) {
 	}
 	switch {
 	case len(req.Workload) > 0:
-		w, err := workload.Decode(bytes.NewReader(req.Workload))
+		w, err := workload.DecodeBytes(req.Workload)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}

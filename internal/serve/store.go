@@ -255,7 +255,7 @@ func (m *Manager) reviveFromStore(id string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: stored session %q: %v", ErrBadRequest, id, err)
 	}
-	w, err := workload.Decode(bytes.NewReader(stored.Workload))
+	w, err := workload.DecodeBytes(stored.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: stored session %q: workload: %v", ErrBadRequest, id, err)
 	}

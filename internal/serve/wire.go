@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"time"
 
+	"repro/internal/jsonscan"
 	"repro/internal/schedule"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
@@ -54,6 +56,56 @@ type CreateSessionRequest struct {
 	// Initial optionally pins this solution as the session's base string
 	// (schedule.Parse syntax). Empty pins the best constructive solution.
 	Initial string `json:"initial,omitempty"`
+}
+
+// decodeCreateRequest decodes a POST /v1/sessions body exactly as
+// encoding/json decodes it into a CreateSessionRequest, without walking
+// the workload document with encoding/json: the top-level object's members
+// are found by a validating skip, each workload member's value is replaced
+// by null in a copy of the small remainder, that copy goes through
+// encoding/json (so names, repeated members, nulls and errors are its
+// own), and Workload is set to the last workload value as a sub-slice of
+// body. Bytes after the object are ignored, as encoding/json's Decoder
+// ignores them.
+func decodeCreateRequest(body []byte) (CreateSessionRequest, error) {
+	var req CreateSessionRequest
+	s := jsonscan.New(body)
+	if s.Peek() != '{' {
+		// Nothing to split: encoding/json reads or rejects it whole.
+		err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		return req, err
+	}
+	var docs [][2]int // byte ranges of the workload members' values
+	err := s.Object(func(name []byte) error {
+		if !bytes.EqualFold(name, []byte("workload")) {
+			return s.Skip()
+		}
+		s.Peek()
+		start := s.Offset()
+		if err := s.Skip(); err != nil {
+			return err
+		}
+		docs = append(docs, [2]int{start, s.Offset()})
+		return nil
+	})
+	if err != nil {
+		return req, err
+	}
+	var rest []byte
+	from := 0
+	for _, d := range docs {
+		rest = append(append(rest, body[from:d[0]]...), "null"...)
+		from = d[1]
+	}
+	rest = append(rest, body[from:s.Offset()]...)
+	if err := json.Unmarshal(rest, &req); err != nil {
+		return req, err
+	}
+	if len(docs) > 0 {
+		last := docs[len(docs)-1]
+		req.Workload = body[last[0]:last[1]]
+	}
+	return req, nil
 }
 
 // SessionInfo describes one live session.

@@ -2,7 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -251,12 +255,104 @@ func TestJSONRoundTripProperty(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds arbitrary bytes — seeded with real documents and
-// truncations of them — through Decode, the entry point for uploaded
-// workloads. Decode must never panic, and every document it accepts must
-// have a canonical encoding: decoding Encode's output and encoding it
-// again reproduces it byte for byte, so a document re-derived from a
-// decoded workload is stable.
+// referenceParse is the encoding/json decode Decode replaced, kept as the
+// oracle parseDocument is checked against.
+func referenceParse(doc []byte) (fileFormat, error) {
+	var ff fileFormat
+	err := json.NewDecoder(bytes.NewReader(doc)).Decode(&ff)
+	return ff, err
+}
+
+// sameDocument reports whether two parsed documents are identical bit for
+// bit, telling nil slices from empty ones and -0 from 0.
+func sameDocument(a, b fileFormat) bool {
+	sameF := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	sameRows := func(x, y [][]float64) bool {
+		if len(x) != len(y) || (x == nil) != (y == nil) {
+			return false
+		}
+		for i := range x {
+			if len(x[i]) != len(y[i]) || (x[i] == nil) != (y[i] == nil) {
+				return false
+			}
+			for j := range x[i] {
+				if !sameF(x[i][j], y[i][j]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	pa, pb := a.Params, b.Params
+	if a.Name != b.Name || pa.Tasks != pb.Tasks || pa.Machines != pb.Machines || pa.Layers != pb.Layers || pa.Seed != pb.Seed ||
+		!sameF(pa.Connectivity, pb.Connectivity) || !sameF(pa.Heterogeneity, pb.Heterogeneity) ||
+		!sameF(pa.TaskRange, pb.TaskRange) || !sameF(pa.CCR, pb.CCR) || !sameF(pa.Scale, pb.Scale) {
+		return false
+	}
+	if !slices.Equal(a.Tasks, b.Tasks) || (a.Tasks == nil) != (b.Tasks == nil) {
+		return false
+	}
+	if len(a.Items) != len(b.Items) || (a.Items == nil) != (b.Items == nil) {
+		return false
+	}
+	for i, it := range a.Items {
+		o := b.Items[i]
+		if it.Producer != o.Producer || it.Consumer != o.Consumer || !sameF(it.Size, o.Size) {
+			return false
+		}
+	}
+	return sameRows(a.Exec, b.Exec) && sameRows(a.Transfer, b.Transfer)
+}
+
+// fuzzSeeds are hostile and corner-case documents for FuzzDecode, each
+// probing one place where a hand-written reader could part from
+// encoding/json.
+var fuzzSeeds = []string{
+	strings.Repeat("[", 10001),
+	`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
+	`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+	`{"exec":[[1e400]]}`,
+	`{"exec":[[1e-400, -1e-400]]}`,
+	`{"exec":[[-0, 0, -0.0e-0, 1E+2]]}`,
+	`{"tasks":["\ud800", "\udc00\ud800", "\ud83d\ude00", "\ud800\u0041", "\ud800\n"]}`,
+	"{\"tasks\":[\"a\xff\xfeb\", \"\xed\xa0\x80\", \"\xf0\x9f\x98\", \"\u00e9\"]}",
+	`{"ta\u017fK\u017f":["a"], "EXEC":[[1]], "Params":{"SEED":3, "ccr":0.5, "tas\u212a\u017f":2}}`,
+	"{\"ta\u017f\u212a\u017f\":[\"a\"]}",
+	`{"tasks":[null, "a"], "items":[null], "exec":[null, [null, 1]], "transfer":null, "params":null, "name":null}`,
+	`{"tasks":[],"items":[],"exec":[],"transfer":[]}`,
+	`{"tasks":["a"],"exec":[[1]]} trailing bytes`,
+	`{"tasks":["a"],"exec":[[1]]}{"tasks":["b"]}`,
+	`{"items":[{"producer":0,"consumer":1,"size":1}],"items":[{"producer":1}]}`,
+	`{"tasks":["a"],"TASKS":["b","c"]}`,
+	`{"params":{"Seed":1,"seed":2}}`,
+	`{"items":[{"producer":1.0}]}`,
+	`{"items":[{"producer":1e2}]}`,
+	`{"params":{"Seed":9223372036854775808}}`,
+	`{"params":{"Tasks":-9223372036854775808}}`,
+	`{"tasks":"a"}`,
+	`{"exec":[["1"]]}`,
+	`{"exec":[[true]]}`,
+	`{"unknown":{"a":[1,{"b":null}],"c":"\u0000"},"tasks":["a"],"exec":[[2]]}`,
+	`  {"tasks" : [ "a" ] , "exec" : [ [ 1 ] ] }  `,
+	`{"tasks":["a"],}`,
+	`{"tasks":["a"],"exec":[[01]]}`,
+	`{"tasks":["a\x"]}`,
+	"{\"tasks\":[\"a\tb\"]}",
+	`null`,
+	`[]`,
+	`"x"`,
+	`nul`,
+}
+
+// FuzzDecode feeds arbitrary bytes — seeded with real documents,
+// truncations of them and fuzzSeeds — through Decode, the entry point for
+// uploaded workloads. The one-pass reader must agree with encoding/json,
+// the reader it replaced: both accept or both reject, and what they accept
+// they read identically, bit for bit. The one documented difference is a
+// repeated schema member, which encoding/json merges and Decode rejects.
+// Every document Decode accepts must also have a canonical encoding:
+// decoding Encode's output and encoding it again reproduces it byte for
+// byte, so a document re-derived from a decoded workload is stable.
 func FuzzDecode(f *testing.F) {
 	for _, w := range []*Workload{
 		Figure1(),
@@ -272,7 +368,25 @@ func FuzzDecode(f *testing.F) {
 		f.Add(doc[:len(doc)-3])
 	}
 	f.Add([]byte{})
+	for _, s := range fuzzSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		ff, err := parseDocument(doc)
+		if errors.Is(err, errRepeated) {
+			return
+		}
+		ref, refErr := referenceParse(doc)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("one-pass reader err = %v, encoding/json err = %v\n%q", err, refErr, doc)
+		}
+		if err != nil {
+			return
+		}
+		if !sameDocument(ff, ref) {
+			t.Fatalf("one-pass reader read %+v, encoding/json %+v\n%q", ff, ref, doc)
+		}
+
 		w, err := Decode(bytes.NewReader(doc))
 		if err != nil {
 			return
