@@ -258,10 +258,13 @@ func BenchmarkDeltaMoveMakespan(b *testing.B) {
 // BenchmarkSEAllocationDeltaVsFull ablates the incremental evaluation
 // engine on the Figure-3 workload (large, highly connected — the same
 // parameters experiments.Fig3 uses at paper scale): "full" runs the same
-// search inside a schedule.Reference scope, where every move is scored by
-// one full pass. The search is byte-identical under both; the reported
-// metric is the genes evaluated per SE allocation sweep, the quantity the
-// delta engine shrinks (DESIGN.md §"Incremental evaluation").
+// search inside a schedule.Reference scope, where the allocation scan
+// scores every candidate by one full pass; "delta" replays only the
+// scan's run heads, each a bounded suffix replay. The search is
+// byte-identical under both; the reported metrics are the genes evaluated
+// and the replays per SE allocation sweep, the quantities the delta
+// engine shrinks (DESIGN.md §"The incremental evaluation engine" and
+// §"The run-collapsed allocation scan").
 func BenchmarkSEAllocationDeltaVsFull(b *testing.B) {
 	w := benchWorkload(100, 20)
 	for _, tc := range []struct {

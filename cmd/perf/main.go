@@ -17,8 +17,8 @@
 //
 // Usage:
 //
-//	go run ./cmd/perf -o BENCH_21.json -ledger 21   # write a full ledger
-//	go run ./cmd/perf -quick -check BENCH_21.json   # CI regression gate
+//	go run ./cmd/perf -o BENCH_22.json -ledger 22   # write a full ledger
+//	go run ./cmd/perf -quick -check BENCH_22.json   # CI regression gate
 //	go run ./cmd/perf -presets large -algos se,ga -cpuprofile cpu.out
 //
 // Determinism: every cell is driven by a fixed seed and a pinned shard

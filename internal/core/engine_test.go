@@ -142,19 +142,19 @@ func TestPoolBestMoveMatchesSerial(t *testing.T) {
 		lo, hi := schedule.ValidRange(w.Graph, e.cur, pos, idx)
 		machines := w.System.TopMachines(e.cur[idx].Task, 3)
 
-		sm, sq, smi := BestMove(ref, e.cur, idx, lo, hi, machines)
-		dm, dq, dmi := BestMove(e.delta, e.cur, idx, lo, hi, machines)
-		if sm != dm || sq != dq || smi != dmi {
-			t.Fatalf("trial %d: serial (%v,%d,%d) != delta (%v,%d,%d)", trial, sm, sq, smi, dm, dq, dmi)
+		ref.Pin(e.cur)
+		want := ref.Scan(idx, lo, hi, machines)
+		e.delta.Pin(e.cur)
+		if got := e.delta.Scan(idx, lo, hi, machines); got != want {
+			t.Fatalf("trial %d: serial %+v != delta %+v", trial, want, got)
 		}
 		for name, pool := range map[string]*allocPool{"full": fullPool, "delta": deltaPool} {
-			pm, pq, pmi := pool.bestMove(e.cur, idx, lo, hi, machines)
-			if sm != pm || sq != pq || smi != pmi {
-				t.Fatalf("trial %d: serial (%v,%d,%d) != %s pool (%v,%d,%d)", trial, sm, sq, smi, name, pm, pq, pmi)
+			if got := pool.bestMove(e.cur, idx, lo, hi, machines); got != want {
+				t.Fatalf("trial %d: serial %+v != %s pool %+v", trial, want, name, got)
 			}
 		}
 		// Walk the current solution forward so trials see varied strings.
-		schedule.MoveInto(e.moveBuf, e.cur, idx, sq, machines[smi])
+		schedule.MoveInto(e.moveBuf, e.cur, idx, want.Q, machines[want.MI])
 		copy(e.cur, e.moveBuf)
 	}
 }
@@ -168,29 +168,10 @@ func TestPoolMoreWorkersThanCandidates(t *testing.T) {
 	idx := 0
 	lo, hi := schedule.ValidRange(w.Graph, e.cur, pos, idx)
 	machines := w.System.TopMachines(e.cur[idx].Task, 1)
-	ms, q, mi := pool.bestMove(e.cur, idx, lo, hi, machines)
-	sm, sq, smi := BestMove(e.delta, e.cur, idx, lo, hi, machines)
-	if ms != sm || q != sq || mi != smi {
-		t.Errorf("tiny candidate set: pool (%v,%d,%d) != serial (%v,%d,%d)", ms, q, mi, sm, sq, smi)
-	}
-}
-
-func TestMoveKeyOrdering(t *testing.T) {
-	cases := []struct {
-		a, b   moveKey
-		better bool
-	}{
-		{moveKey{ms: 1}, moveKey{ms: 2}, true},
-		{moveKey{ms: 2}, moveKey{ms: 1}, false},
-		{moveKey{ms: 1, total: 5}, moveKey{ms: 1, total: 6}, true},
-		{moveKey{ms: 1, total: 5, q: 0}, moveKey{ms: 1, total: 5, q: 1}, true},
-		{moveKey{ms: 1, total: 5, q: 1, mi: 0}, moveKey{ms: 1, total: 5, q: 1, mi: 1}, true},
-		{moveKey{ms: 1, total: 5, q: 1, mi: 1}, moveKey{ms: 1, total: 5, q: 1, mi: 1}, false},
-	}
-	for i, tc := range cases {
-		if got := tc.a.better(tc.b); got != tc.better {
-			t.Errorf("case %d: better = %v, want %v", i, got, tc.better)
-		}
+	got := pool.bestMove(e.cur, idx, lo, hi, machines)
+	e.delta.Pin(e.cur)
+	if want := e.delta.Scan(idx, lo, hi, machines); got != want {
+		t.Errorf("tiny candidate set: pool %+v != serial %+v", got, want)
 	}
 }
 

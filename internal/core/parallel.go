@@ -8,33 +8,14 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// allocPool evaluates the candidate (position, machine) combinations of one
+// allocPool scans the candidate (position, machine) combinations of one
 // allocation step across a fixed set of worker goroutines, each owning a
-// private DeltaEvaluator. Reduction uses the lexicographic key (makespan,
-// total, position, machine rank), which is exactly the order the serial
-// scan visits candidates in, so parallel runs pick bit-identical moves.
+// private DeltaEvaluator and scanning a block of whole insertion points.
+// Reduction uses the scan's own key (schedule.Move.Less), which is
+// exactly the order the serial scan visits candidates in, so parallel
+// runs pick bit-identical moves.
 type allocPool struct {
 	workers []*schedule.DeltaEvaluator
-}
-
-type moveKey struct {
-	ms    float64
-	total float64
-	q     int
-	mi    int
-}
-
-func (k moveKey) better(o moveKey) bool {
-	if k.ms != o.ms {
-		return k.ms < o.ms
-	}
-	if k.total != o.total {
-		return k.total < o.total
-	}
-	if k.q != o.q {
-		return k.q < o.q
-	}
-	return k.mi < o.mi
 }
 
 func newAllocPool(g *taskgraph.Graph, sys *platform.System, n int) *allocPool {
@@ -53,69 +34,45 @@ func newAllocPool(g *taskgraph.Graph, sys *platform.System, n int) *allocPool {
 	return p
 }
 
-// bestMove evaluates all candidates for moving the gene at idx of cur into
-// positions [lo, hi] on any of the given machines, fanned out over the
-// pool's workers, and returns the winning makespan, position and machine
-// index.
-func (p *allocPool) bestMove(cur schedule.String, idx, lo, hi int, machines []taskgraph.MachineID) (ms float64, q, mi int) {
-	total := (hi - lo + 1) * len(machines)
+// bestMove scans all candidates for moving the gene at idx of cur into
+// positions [lo, hi] on any of the given machines, the positions split
+// into contiguous blocks over the pool's workers, and returns the winner.
+func (p *allocPool) bestMove(cur schedule.String, idx, lo, hi int, machines []taskgraph.MachineID) schedule.Move {
+	rows := hi - lo + 1
 	nw := len(p.workers)
-	if total < 2*nw {
+	if rows*len(machines) < 2*nw || rows < 2 {
 		// Too little work to amortize goroutine wakeups.
-		return BestMove(p.workers[0], cur, idx, lo, hi, machines)
+		d := p.workers[0]
+		d.Pin(cur)
+		return d.Scan(idx, lo, hi, machines)
 	}
-	results := make([]moveKey, nw)
+	chunk := (rows + nw - 1) / nw
+	nw = (rows + chunk - 1) / chunk // no empty blocks
+	results := make([]schedule.Move, nw)
 	var wg sync.WaitGroup
-	chunk := (total + nw - 1) / nw
 	for wi := 0; wi < nw; wi++ {
-		start := wi * chunk
-		end := start + chunk
-		if end > total {
-			end = total
-		}
-		if start >= end {
-			results[wi] = moveKey{ms: -1}
-			continue
-		}
+		start := lo + wi*chunk
+		end := min(start+chunk-1, hi)
 		wg.Add(1)
 		go func(wi, start, end int) {
 			defer wg.Done()
-			// Each worker pins the shared base once and replays only its
-			// chunk's candidates, bounded by the chunk's local best. An
-			// aborted candidate loses to that local best, so it can never
-			// be the chunk minimum — the deterministic reduction below is
-			// unchanged.
+			// Each worker pins the shared base once and scans its block,
+			// bounded by the block's own best. An aborted or skipped
+			// candidate loses to that best, so it can never be the block
+			// minimum — the deterministic reduction below is unchanged.
 			d := p.workers[wi]
 			d.Pin(cur)
-			best := moveKey{ms: -1}
-			boundMs, boundTotal := schedule.NoBound, schedule.NoBound
-			for i := start; i < end; i++ {
-				qq := lo + i/len(machines)
-				mm := i % len(machines)
-				c, total, ok := d.MoveMakespan(idx, qq, machines[mm], boundMs, boundTotal)
-				if !ok {
-					continue
-				}
-				k := moveKey{ms: c, total: total, q: qq, mi: mm}
-				if best.ms < 0 || k.better(best) {
-					best = k
-					boundMs, boundTotal = best.ms, best.total
-				}
-			}
-			results[wi] = best
+			results[wi] = d.Scan(idx, start, end, machines)
 		}(wi, start, end)
 	}
 	wg.Wait()
-	best := moveKey{ms: -1}
-	for _, k := range results {
-		if k.ms < 0 {
-			continue
-		}
-		if best.ms < 0 || k.better(best) {
-			best = k
+	best := results[0]
+	for _, mv := range results[1:] {
+		if mv.Less(best) {
+			best = mv
 		}
 	}
-	return best.ms, best.q, best.mi
+	return best
 }
 
 // counts sums the evaluation-effort ledgers over all workers.

@@ -289,6 +289,10 @@ func (e *Engine) selectTasks() {
 // positions in the task's valid range are combined with each of its Y
 // best-matching machines; the combination with the smallest overall
 // schedule length is applied before moving on to the next selected task.
+// The scan (schedule.DeltaEvaluator.Scan) ranks candidates by the key
+// (makespan, total finish time, q, machine rank): candidates off the
+// critical path tie on makespan, and the total keeps such moves
+// compacting the schedule instead of parking at the first tie.
 //
 // e.pos is rebuilt once per generation and then maintained incrementally:
 // applying a move idx→q only shifts the genes in [min(idx,q), max(idx,q)],
@@ -300,47 +304,15 @@ func (e *Engine) allocate() {
 		lo, hi := schedule.ValidRange(e.g, e.cur, e.pos, idx)
 		machines := e.sys.TopMachines(t, e.opts.Y)
 
-		var bestQ, bestMI int
+		var mv schedule.Move
 		if e.pool != nil {
-			_, bestQ, bestMI = e.pool.bestMove(e.cur, idx, lo, hi, machines)
+			mv = e.pool.bestMove(e.cur, idx, lo, hi, machines)
 		} else {
-			_, bestQ, bestMI = BestMove(e.delta, e.cur, idx, lo, hi, machines)
+			e.delta.Pin(e.cur)
+			mv = e.delta.Scan(idx, lo, hi, machines)
 		}
-		schedule.MoveInto(e.moveBuf, e.cur, idx, bestQ, machines[bestMI])
+		schedule.MoveInto(e.moveBuf, e.cur, idx, mv.Q, machines[mv.MI])
 		copy(e.cur, e.moveBuf)
-		schedule.UpdatePositions(e.pos, e.cur, idx, bestQ)
+		schedule.UpdatePositions(e.pos, e.cur, idx, mv.Q)
 	}
-}
-
-// BestMove is SE's allocation scan (§4.5): d is pinned on cur, and every
-// (position, machine) candidate in [lo, hi] × machines is answered by a
-// checkpointed suffix replay, visited in ascending (q, machine-rank)
-// order. The winner is the first candidate minimizing (makespan, total
-// finish time): candidates off the critical path tie on makespan, and
-// the secondary total-finish criterion keeps such moves compacting the
-// schedule instead of parking at the first tie. Each replay is bounded by
-// the best key so far and aborts only when it provably loses to it, so
-// the scan picks the winner an unbounded scan would. The parallel pool
-// reduces with the same key, so both paths pick identical moves. It is
-// exported for the sharded boundary-reconciliation pass
-// (internal/shard), which re-places cross-region tasks with exactly
-// these semantics.
-func BestMove(d *schedule.DeltaEvaluator, cur schedule.String, idx, lo, hi int, machines []taskgraph.MachineID) (ms float64, q, mi int) {
-	d.Pin(cur)
-	best := moveKey{ms: -1}
-	boundMs, boundTotal := schedule.NoBound, schedule.NoBound
-	for qq := lo; qq <= hi; qq++ {
-		for mm, m := range machines {
-			c, total, ok := d.MoveMakespan(idx, qq, m, boundMs, boundTotal)
-			if !ok {
-				continue
-			}
-			k := moveKey{ms: c, total: total, q: qq, mi: mm}
-			if best.ms < 0 || k.better(best) {
-				best = k
-				boundMs, boundTotal = best.ms, best.total
-			}
-		}
-	}
-	return best.ms, best.q, best.mi
 }

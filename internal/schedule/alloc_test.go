@@ -93,3 +93,27 @@ func TestRePinAllocFree(t *testing.T) {
 		t.Errorf("steady-state Pin allocates %.1f times, want 0", allocs)
 	}
 }
+
+func TestScanAllocFree(t *testing.T) {
+	w := allocWorkload()
+	rng := rand.New(rand.NewSource(10))
+	s := randomSolution(w, rng)
+	d := schedule.NewDeltaEvaluator(w.Graph, w.System)
+	pos := make([]int, len(s))
+	buf := make(schedule.String, len(s))
+
+	// SE's allocation step: pin, scan one gene on its best machines, apply
+	// the winner. The scan keeps its run state in the evaluator.
+	if allocs := testing.AllocsPerRun(200, func() {
+		s.Positions(pos)
+		idx := rng.Intn(len(s))
+		lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
+		machines := w.System.TopMachines(s[idx].Task, 0)
+		d.Pin(s)
+		mv := d.Scan(idx, lo, hi, machines)
+		schedule.MoveInto(buf, s, idx, mv.Q, machines[mv.MI])
+		copy(s, buf)
+	}); allocs != 0 {
+		t.Errorf("Pin+Scan allocates %.1f times per selected task, want 0", allocs)
+	}
+}

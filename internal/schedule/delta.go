@@ -211,6 +211,12 @@ type DeltaEvaluator struct {
 		ready        []float64
 	}
 
+	// runs is Scan's per-machine-rank run state and bestFin the finish
+	// times of its best candidate so far (see Scan), sized at construction
+	// so that a scan allocates nothing.
+	runs    []runKey
+	bestFin []float64
+
 	counts EvalCounts
 
 	// ref is non-nil in reference mode (see Reference): moves are then
@@ -247,6 +253,8 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		xfer:       make([]float64, g.NumItems()),
 		stamp:      make([]uint64, n),
 		walkArr:    make([]float64, n),
+		runs:       make([]runKey, l),
+		bestFin:    make([]float64, n),
 		lastFrom:   -1,
 	}
 	d.memo.ready = make([]float64, l)
@@ -385,16 +393,19 @@ func (d *DeltaEvaluator) tailConverged(j int) bool {
 // (boundMs, boundTotal) is the early-exit threshold, the lexicographic
 // (makespan, total) key of the best candidate seen so far. Both running
 // quantities are monotone during a replay, so the replay aborts — ok =
-// false, meaningless makespan/total — as soon as the candidate provably
-// cannot beat that key: when the running makespan strictly exceeds
-// boundMs, or equals it while the running total has reached boundTotal
-// (an exact (makespan, total) tie also loses, because the scan visits
-// candidates in the tie-break order of the final key), or when the "no
-// task can gain" lower key (see settled) loses the same way right after
-// the moved gene. A candidate whose final key beats (boundMs, boundTotal)
-// is never aborted. Pass NoBound for either component to disable that
-// part of the abort; SA passes both (Metropolis needs exact values), tabu
-// bounds only the makespan (its selection ignores totals).
+// false — as soon as the candidate provably cannot beat that key: when
+// the running makespan strictly exceeds boundMs, or equals it while the
+// running total has reached boundTotal (an exact (makespan, total) tie
+// also loses, because the scan visits candidates in the tie-break order
+// of the final key), or when the "no task can gain" lower key (see
+// settled) loses the same way right after the moved gene. An aborted
+// replay returns that losing key: a lower bound on the candidate's final
+// makespan and on its final total, so a caller can tell a makespan loss
+// (makespan > boundMs) from a total loss and see its margin (Scan does).
+// A candidate whose final key beats (boundMs, boundTotal) is never
+// aborted. Pass NoBound for either component to disable that part of the
+// abort; SA passes both (Metropolis needs exact values), tabu bounds only
+// the makespan (its selection ignores totals).
 func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs, boundTotal float64) (makespan, total float64, ok bool) {
 	if d.base == nil {
 		panic("schedule: DeltaEvaluator.MoveMakespan called before Pin")
@@ -438,7 +449,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		d.counts.Aborted++
 		d.lastFrom = -1
 		d.lastMove.valid = false
-		return 0, 0, false
+		return ms, tot, false
 	}
 	movedT := d.base[idx].Task
 	movedM := m
@@ -576,9 +587,11 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 			ok = false
 			break
 		}
-		if p == q && boundMs < NoBound && d.settled(idx, q, f, moving, ms, tot, boundMs, boundTotal) {
-			ok = false
-			break
+		if p == q && boundMs < NoBound {
+			if lowMs, lowTot, lost := d.settled(idx, q, f, moving, ms, tot, boundMs, boundTotal); lost {
+				ms, tot, ok = lowMs, lowTot, false
+				break
+			}
 		}
 		// A diverged finish time — or, after a machine change, the moved
 		// task's repriced outgoing edges even at a tied finish — disturbs
@@ -644,7 +657,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		d.counts.Aborted++
 		d.lastFrom = -1
 		d.lastMove.valid = false
-		return 0, 0, false
+		return ms, tot, false
 	}
 	d.lastFrom = from
 	d.lastMove.idx, d.lastMove.q, d.lastMove.m = idx, q, m
@@ -656,7 +669,8 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 // settled is the "no task can gain" test, run once per candidate right
 // after its moved gene t (base index idx, now at q) finished at f with
 // running key (ms, tot). It reports whether the candidate's final key
-// provably loses to (boundMs, boundTotal).
+// provably loses to (boundMs, boundTotal), and if so the lower key
+// (lowMs, lowTot) that proves it.
 //
 // A task other than t could start earlier than in the base only through
 // t's outgoing data or through the slot t vacates on its base machine;
@@ -668,13 +682,13 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 // least max(ms, the largest base finish among tasks ≠ t), and — IEEE
 // addition being monotone — the final total at least tot plus the
 // remaining genes' base finish times added in the moved string's order.
-func (d *DeltaEvaluator) settled(idx, q int, f float64, moving bool, ms, tot, boundMs, boundTotal float64) bool {
+func (d *DeltaEvaluator) settled(idx, q int, f float64, moving bool, ms, tot, boundMs, boundTotal float64) (lowMs, lowTot float64, lost bool) {
 	if !d.indexed {
 		d.indexBase()
 	}
 	t := d.base[idx].Task
 	if !d.vacateSafe[t] { // (b)
-		return false
+		return 0, 0, false
 	}
 	fb, m0 := d.baseFinish[t], d.baseAssign[t]
 	for _, sc := range d.g.Succs(t) { // (a); the cache holds the candidate's price
@@ -683,7 +697,7 @@ func (d *DeltaEvaluator) settled(idx, q int, f float64, moving bool, ms, tot, bo
 			xb = d.sys.TransferTime(m0, d.baseAssign[sc.Task], sc.Item)
 		}
 		if f+d.xfer[sc.Item] < fb+xb {
-			return false
+			return 0, 0, false
 		}
 	}
 	low := d.top[0]
@@ -694,7 +708,7 @@ func (d *DeltaEvaluator) settled(idx, q int, f float64, moving bool, ms, tot, bo
 		low = ms
 	}
 	if low != boundMs || boundTotal == NoBound {
-		return low > boundMs
+		return low, tot, low > boundMs
 	}
 	// The moved string holds base[q..idx-1] then base[idx+1..] after q
 	// when q < idx, and base[q+1..] otherwise.
@@ -708,7 +722,7 @@ func (d *DeltaEvaluator) settled(idx, q int, f float64, moving bool, ms, tot, bo
 	for j := rest; j < len(d.base) && tot < boundTotal; j++ {
 		tot += d.baseFinish[d.base[j].Task]
 	}
-	return tot >= boundTotal
+	return low, tot, tot >= boundTotal
 }
 
 // CommitMove rebases the evaluator onto the string the immediately

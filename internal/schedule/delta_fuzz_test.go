@@ -16,7 +16,10 @@ import (
 // evaluator's cached state (checkpoints, the machine-scan memo, the
 // per-edge transfer times) across aborted machine-changing candidates and
 // commits, which is exactly the state a search leaves behind between
-// calls.
+// calls. Each scan op also runs Scan, the run-collapsed scan, on the same
+// pinned base over a decoded machine list — a rotation of all machines,
+// or a Y-limited one that may omit the base machine — and requires the
+// winner and key of an exhaustive full-pass scan.
 //
 // The seed picks the workload and the initial string; ops is read one
 // byte at a time as an operation code followed by its operands.
@@ -77,8 +80,9 @@ func FuzzDeltaScan(f *testing.F) {
 				// machine (starting from a decoded rotation, so the base
 				// machine lands anywhere in the order), bounded by the
 				// running best key, then the winner re-evaluated unbounded
-				// and committed.
-				idx, rot := next()%n, next()
+				// and committed. An abort must return a lower bound on the
+				// candidate's key that loses to the bound.
+				idx, rot, y := next()%n, next(), next()
 				s.Positions(pos)
 				lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
 				bestMs, bestTot := schedule.NoBound, schedule.NoBound
@@ -94,6 +98,10 @@ func FuzzDeltaScan(f *testing.F) {
 								t.Fatalf("MoveMakespan(%d,%d,m%d) aborted a key (%v, %v) that beats its bound (%v, %v)",
 									idx, q, m, wantMs, wantTot, bestMs, bestTot)
 							}
+							if ms > wantMs || tot > wantTot || !(ms > bestMs || (ms == bestMs && tot >= bestTot)) {
+								t.Fatalf("MoveMakespan(%d,%d,m%d) aborted with (%v, %v): key (%v, %v), bound (%v, %v)",
+									idx, q, m, ms, tot, wantMs, wantTot, bestMs, bestTot)
+							}
 							continue
 						}
 						agree("MoveMakespan", moved, ms, tot)
@@ -101,6 +109,20 @@ func FuzzDeltaScan(f *testing.F) {
 							bestMs, bestTot, bestQ, bestM = ms, tot, q, m
 						}
 					}
+				}
+				// The run-collapsed scan of the same base over a prefix of
+				// the rotation (1 + y/2 of its machines, modulo their
+				// count), without the base machine when y is odd (unless
+				// that leaves none).
+				machines := make([]taskgraph.MachineID, 0, l)
+				for k := 0; k < l; k++ {
+					if m := taskgraph.MachineID((rot + k) % l); y%2 == 0 || m != s[idx].Machine || l == 1 {
+						machines = append(machines, m)
+					}
+				}
+				machines = machines[:1+y/2%len(machines)]
+				if got, want := d.Scan(idx, lo, hi, machines), exhaustiveScan(full, s, idx, lo, hi, machines); got != want {
+					t.Fatalf("Scan(%d, [%d, %d], %v) = %+v, exhaustive full-pass scan %+v", idx, lo, hi, machines, got, want)
 				}
 				moved := schedule.Moved(s, idx, bestQ, bestM)
 				ms, tot, ok := d.MoveMakespan(idx, bestQ, bestM, schedule.NoBound, schedule.NoBound)

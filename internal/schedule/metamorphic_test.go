@@ -141,6 +141,30 @@ func TestMetamorphicMachineRelabelling(t *testing.T) {
 			d.FinishInto(fin)
 			rd.FinishInto(relFin)
 			sameFinish("DeltaEvaluator.FinishInto")
+
+			// Scan's run heads are machine identities (a candidate heads a
+			// run when the gene it passes runs on its machine), so a
+			// relabelled scan over the relabelled machine list must pick
+			// the same rank at the same key and replay the same
+			// candidates.
+			idx = rng.Intn(n)
+			lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
+			machines := make([]taskgraph.MachineID, 0, l)
+			for _, m := range rng.Perm(l)[:1+rng.Intn(l)] {
+				machines = append(machines, taskgraph.MachineID(m))
+			}
+			relMachines := make([]taskgraph.MachineID, len(machines))
+			for i, m := range machines {
+				relMachines[i] = perm[m]
+			}
+			before, relBefore := d.Counts(), rd.Counts()
+			mv, rmv := d.Scan(idx, lo, hi, machines), rd.Scan(idx, lo, hi, relMachines)
+			if mv != rmv {
+				t.Fatalf("seed %d: Scan(%d, [%d, %d], %v) = %+v relabelled, %+v original", seed, idx, lo, hi, machines, rmv, mv)
+			}
+			if c, rc := d.Counts().Sub(before), rd.Counts().Sub(relBefore); c != rc {
+				t.Fatalf("seed %d: Scan of gene %d: counts %+v relabelled, %+v original", seed, idx, rc, c)
+			}
 		}
 		return true
 	}
@@ -238,19 +262,30 @@ func relabelTasks(w *workload.Workload, perm []taskgraph.TaskID) *workload.Workl
 	}
 }
 
-// boundedScan is SE's allocation scan of gene idx: every valid position ×
-// every machine, each replay bounded by the best (makespan, total) key so
-// far. It returns the first candidate with the least key.
-func boundedScan(d *schedule.DeltaEvaluator, idx, lo, hi, l int) (q int, m taskgraph.MachineID) {
+// boundedScan is SE's allocation scan of gene idx over every valid
+// position × every machine, run twice: candidate by candidate, each
+// replay bounded by the best (makespan, total) key so far, and by Scan,
+// which replays only run heads. Both must pick the first candidate with
+// the least key.
+func boundedScan(t *testing.T, d *schedule.DeltaEvaluator, idx, lo, hi, l int) (q int, m taskgraph.MachineID) {
+	t.Helper()
 	bestMs, bestTot := schedule.NoBound, schedule.NoBound
 	q = -1
+	machines := make([]taskgraph.MachineID, l)
+	for mm := range machines {
+		machines[mm] = taskgraph.MachineID(mm)
+	}
 	for qq := lo; qq <= hi; qq++ {
-		for mm := 0; mm < l; mm++ {
-			ms, tot, ok := d.MoveMakespan(idx, qq, taskgraph.MachineID(mm), bestMs, bestTot)
+		for _, mm := range machines {
+			ms, tot, ok := d.MoveMakespan(idx, qq, mm, bestMs, bestTot)
 			if ok && (q < 0 || ms < bestMs || (ms == bestMs && tot < bestTot)) {
-				bestMs, bestTot, q, m = ms, tot, qq, taskgraph.MachineID(mm)
+				bestMs, bestTot, q, m = ms, tot, qq, mm
 			}
 		}
+	}
+	want := schedule.Move{Makespan: bestMs, Total: bestTot, Q: q, MI: int(m)}
+	if got := d.Scan(idx, lo, hi, machines); got != want {
+		t.Fatalf("Scan of gene %d = %+v, candidate-by-candidate scan %+v", idx, got, want)
 	}
 	return q, m
 }
@@ -324,8 +359,8 @@ func TestMetamorphicTaskRelabelling(t *testing.T) {
 			// A bounded scan of one gene, its winner committed on both.
 			idx = rng.Intn(n)
 			lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
-			q, m = boundedScan(d, idx, lo, hi, l)
-			if rq, rm := boundedScan(rd, idx, lo, hi, l); rq != q || rm != m {
+			q, m = boundedScan(t, d, idx, lo, hi, l)
+			if rq, rm := boundedScan(t, rd, idx, lo, hi, l); rq != q || rm != m {
 				t.Fatalf("seed %d: scan of gene %d picked (%d, m%d) relabelled, (%d, m%d) original", seed, idx, rq, rm, q, m)
 			}
 			if c, rc := d.Counts(), rd.Counts(); c != rc {

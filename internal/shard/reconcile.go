@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 	"repro/internal/taskgraph"
@@ -46,10 +45,11 @@ func (r *reconciler) run(s schedule.String, boundary []taskgraph.TaskID) (schedu
 		idx := r.pos[t]
 		lo, hi := schedule.ValidRange(r.g, s, r.pos, idx)
 		machines := r.sys.TopMachines(t, r.y)
-		_, q, mi := core.BestMove(r.delta, s, idx, lo, hi, machines)
-		schedule.MoveInto(r.buf, s, idx, q, machines[mi])
+		r.delta.Pin(s)
+		mv := r.delta.Scan(idx, lo, hi, machines)
+		schedule.MoveInto(r.buf, s, idx, mv.Q, machines[mv.MI])
 		copy(s, r.buf)
-		schedule.UpdatePositions(r.pos, s, idx, q)
+		schedule.UpdatePositions(r.pos, s, idx, mv.Q)
 	}
 	ms, _ := r.delta.Pin(s)
 	return s, ms
