@@ -13,6 +13,7 @@ package heuristics
 import (
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/platform"
 	"repro/internal/schedule"
@@ -119,18 +120,29 @@ func minMaxMin(g *taskgraph.Graph, sys *platform.System, name string, max bool) 
 	return finish(name, g, sys, b.solution())
 }
 
-// All runs every heuristic and returns the results sorted by ascending
-// makespan (name breaks ties).
+// All runs every heuristic, each on its own goroutine, and returns the
+// results sorted by ascending makespan (name breaks ties). The heuristics
+// only read g and sys, and each result is what a sequential call gives.
 func All(g *taskgraph.Graph, sys *platform.System, seed int64) []Result {
-	rs := []Result{
-		HEFT(g, sys),
-		CPOP(g, sys),
-		MinMin(g, sys),
-		MaxMin(g, sys),
-		Sufferage(g, sys),
-		MCT(g, sys),
-		Random(g, sys, seed),
+	runs := []func() Result{
+		func() Result { return HEFT(g, sys) },
+		func() Result { return CPOP(g, sys) },
+		func() Result { return MinMin(g, sys) },
+		func() Result { return MaxMin(g, sys) },
+		func() Result { return Sufferage(g, sys) },
+		func() Result { return MCT(g, sys) },
+		func() Result { return Random(g, sys, seed) },
 	}
+	rs := make([]Result, len(runs))
+	var wg sync.WaitGroup
+	for i, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs[i] = run()
+		}()
+	}
+	wg.Wait()
 	sort.SliceStable(rs, func(i, j int) bool {
 		if rs[i].Makespan != rs[j].Makespan {
 			return rs[i].Makespan < rs[j].Makespan

@@ -1,6 +1,9 @@
 package heuristics_test
 
 import (
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +44,45 @@ func TestAllSortedByMakespan(t *testing.T) {
 		if rs[i].Makespan < rs[i-1].Makespan {
 			t.Errorf("results not sorted: %s %.0f before %s %.0f",
 				rs[i-1].Name, rs[i-1].Makespan, rs[i].Name, rs[i].Makespan)
+		}
+	}
+}
+
+// TestAllMatchesSequentialCalls: All runs the heuristics concurrently but
+// returns what calling them one after another and sorting gives, in the
+// same order; several All calls sharing one workload at once, as a server
+// creating sessions makes them, agree too.
+func TestAllMatchesSequentialCalls(t *testing.T) {
+	for _, w := range []*workload.Workload{workload.Figure1(), testWorkload(6), testWorkload(7)} {
+		want := []heuristics.Result{
+			heuristics.HEFT(w.Graph, w.System),
+			heuristics.CPOP(w.Graph, w.System),
+			heuristics.MinMin(w.Graph, w.System),
+			heuristics.MaxMin(w.Graph, w.System),
+			heuristics.Sufferage(w.Graph, w.System),
+			heuristics.MCT(w.Graph, w.System),
+			heuristics.Random(w.Graph, w.System, 5),
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Makespan != want[j].Makespan {
+				return want[i].Makespan < want[j].Makespan
+			}
+			return want[i].Name < want[j].Name
+		})
+		got := make([][]heuristics.Result, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = heuristics.All(w.Graph, w.System, 5)
+			}()
+		}
+		wg.Wait()
+		for _, rs := range got {
+			if !reflect.DeepEqual(rs, want) {
+				t.Fatalf("%s: All returned %v, sequential calls %v", w.Name, rs, want)
+			}
 		}
 	}
 }

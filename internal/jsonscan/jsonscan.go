@@ -44,6 +44,11 @@ func New(data []byte) *Scanner { return &Scanner{data: data} }
 // consumed, the end of that value.
 func (s *Scanner) Offset() int { return s.pos }
 
+// Seek moves the Scanner to offset off. The caller must have read the
+// bytes it passes over by other means, as one whole value at the
+// Scanner's current nesting depth, for the rest of the read to be valid.
+func (s *Scanner) Seek(off int) { s.pos = off }
+
 // Peek skips whitespace and returns the first byte of what follows, or 0
 // at the end of the input.
 func (s *Scanner) Peek() byte {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/jsonscan"
 	"repro/internal/live"
 	"repro/internal/obs"
 )
@@ -99,11 +100,47 @@ func (c *Client) Algorithms(ctx context.Context) ([]AlgorithmInfo, error) {
 	return out, err
 }
 
-// CreateSession creates a session and returns its info.
+// CreateSession creates a session and returns its info. An uploaded
+// Workload document is sent as given, not compacted: it must be exactly
+// one JSON value, or nothing is sent (see createBody).
 func (c *Client) CreateSession(ctx context.Context, req CreateSessionRequest) (SessionInfo, error) {
+	body, err := createBody(req)
+	if err != nil {
+		return SessionInfo{}, err
+	}
 	var out SessionInfo
-	err := c.post(ctx, "/v1/sessions", req, &out)
+	err = c.postRaw(ctx, "/v1/sessions", body, &out)
 	return out, err
+}
+
+// createBody encodes req as json.Marshal does, except that the Workload
+// document is copied into the body unchanged: json.Marshal compacts and
+// HTML-escapes it, which takes several times as long as checking it, and
+// the server reads either form alike. The document is first checked to
+// be exactly one well-formed JSON value with nothing but whitespace after
+// it, as json.Marshal checks it, so its bytes cannot end the workload
+// member early and add members of their own to the envelope. The rest of
+// req is marshalled around it.
+func createBody(req CreateSessionRequest) ([]byte, error) {
+	doc := req.Workload
+	req.Workload = nil
+	rest, err := json.Marshal(req)
+	if err != nil || len(doc) == 0 {
+		return rest, err
+	}
+	s := jsonscan.New(doc)
+	if err := s.Skip(); err != nil {
+		return nil, fmt.Errorf("serve: workload document: %w", err)
+	}
+	if s.Peek(); s.Offset() != len(doc) {
+		return nil, fmt.Errorf("serve: workload document: offset %d: invalid character %q after top-level value", s.Offset(), doc[s.Offset()])
+	}
+	body := make([]byte, 0, len(`{"workload":,`)+len(doc)+len(rest))
+	body = append(append(body, `{"workload":`...), doc...)
+	if len(rest) > len("{}") {
+		body = append(body, ',')
+	}
+	return append(body, rest[1:]...), nil
 }
 
 // Session fetches one session's info.
@@ -313,6 +350,11 @@ func (c *Client) post(ctx context.Context, path string, body, dst any) error {
 	if err != nil {
 		return err
 	}
+	return c.postRaw(ctx, path, raw, dst)
+}
+
+// postRaw posts an encoded JSON body and decodes the response into dst.
+func (c *Client) postRaw(ctx context.Context, path string, raw []byte, dst any) error {
 	ctx, cancel := c.reqContext(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(raw))

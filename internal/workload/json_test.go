@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -342,6 +344,24 @@ var fuzzSeeds = []string{
 	`[]`,
 	`"x"`,
 	`nul`,
+	// Shapes at the edges of the matrix row split, which the split must
+	// refuse or read exactly as the sequential read does.
+	`{"exec":[[1,"]"],[2,3]]}`,
+	`{"exec":[[1,2],null,[3,4]]}`,
+	`{"exec":[[1,2],[],[3,4]]}`,
+	`{"exec":[[1,2] [3,4],[5,6]]}`,
+	`{"exec":[[1,2][3,4]]}`,
+	`{"exec":[[1,2];[3,4]]}`,
+	`{"exec":[[1,2],,[3,4]]}`,
+	`{"exec":[[1,2],[3,4],]}`,
+	`{"exec":[[1,2],[3,4]`,
+	"{\"exec\":\x9b[],[3]], \"t]], \"trra\x89sfer\":[[[2]]}",
+	`{"exec":x[1],[2]]}`,
+	`{"exec":[[1],[2],[3]], "transfer":[[1e400],[2]]}`,
+	`{"exec":[[1,2,3]]}`,
+	`{"exec":[[1],[` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `]]}`,
+	`{"exec":[[1],[2,[3]],[4]]}`,
+	"{\"exec\":[[null,1],[2,null]], \"transfer\":[ [ 1 , 2 ] ,\n\t[3,4]\r]}",
 }
 
 // FuzzDecode feeds arbitrary bytes — seeded with real documents,
@@ -350,6 +370,8 @@ var fuzzSeeds = []string{
 // the reader it replaced: both accept or both reject, and what they accept
 // they read identically, bit for bit. The one documented difference is a
 // repeated schema member, which encoding/json merges and Decode rejects.
+// The matrix row split, forced on every matrix of two rows or more, must
+// give the sequential read's result and error text exactly.
 // Every document Decode accepts must also have a canonical encoding:
 // decoding Encode's output and encoding it again reproduces it byte for
 // byte, so a document re-derived from a decoded workload is stable.
@@ -372,7 +394,11 @@ func FuzzDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		ff, err := parseDocument(doc)
+		ff, err := parseDocumentOn(doc, 1, matrixChunkBytes)
+		split, splitErr := parseDocumentOn(doc, 3, 1)
+		if fmt.Sprint(splitErr) != fmt.Sprint(err) || !sameDocument(split, ff) {
+			t.Fatalf("row split read %+v, %v; sequential read %+v, %v\n%q", split, splitErr, ff, err, doc)
+		}
 		if errors.Is(err, errRepeated) {
 			return
 		}
@@ -407,4 +433,62 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("encoding is not canonical:\n%s\nre-encodes as\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// TestRowSplitMatchesSequentialRead decodes every preset and the 150 × 20
+// search-heavy upload class (indented as Encode writes it, and compacted
+// as a client may send it) at GOMAXPROCS 1 and 2, and requires the
+// parallel read to equal the sequential one bit for bit, both as
+// parseDocument chooses the split and with a three-way split forced on
+// every matrix.
+func TestRowSplitMatchesSequentialRead(t *testing.T) {
+	type document struct {
+		name string
+		doc  []byte
+	}
+	var docs []document
+	for _, name := range PresetNames() {
+		w, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, w); err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, document{name, buf.Bytes()})
+	}
+	var heavy, compact bytes.Buffer
+	if err := Encode(&heavy, MustGenerate(Params{Tasks: 150, Machines: 20,
+		Connectivity: HighConnectivity, Heterogeneity: HighHeterogeneity, CCR: 0.5, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&compact, heavy.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, document{"150x20", heavy.Bytes()}, document{"150x20/compact", compact.Bytes()})
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, d := range docs {
+		want, err := parseDocumentOn(d.doc, 1, matrixChunkBytes)
+		if err != nil {
+			t.Fatalf("%s: sequential read: %v", d.name, err)
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			if got, err := parseDocument(d.doc); err != nil || !sameDocument(got, want) {
+				t.Errorf("GOMAXPROCS %d, %s: parseDocument differs from the sequential read (err %v)", procs, d.name, err)
+			}
+			if got, err := parseDocumentOn(d.doc, 3, 1); err != nil || !sameDocument(got, want) {
+				t.Errorf("GOMAXPROCS %d, %s: a forced split differs from the sequential read (err %v)", procs, d.name, err)
+			}
+		}
+	}
+	// The 150 × 20 transfer matrix is large enough that parseDocument
+	// splits it whenever two goroutines may run.
+	at := bytes.Index(heavy.Bytes(), []byte(`"transfer":`)) + len(`"transfer":`)
+	rows, end, ok := splitRows(heavy.Bytes(), skipSpace(heavy.Bytes(), at))
+	if !ok || (end-at)/matrixChunkBytes < 2 || len(rows) < 2 {
+		t.Errorf("150 x 20 transfer matrix: split %v, %d bytes in %d rows; want a split into at least two chunks", ok, end-at, len(rows))
+	}
 }
