@@ -68,9 +68,11 @@ var NoBound = math.Inf(1)
 // machine-ready times, running makespan, running finish-time sum — at
 // every stride-th prefix. Because a move of the gene at index idx to
 // index q can only change finish times from min(idx, q) onward, a
-// candidate is then answered by replaying only the suffix from the
-// nearest checkpoint at or below that point. Four further mechanisms cut
-// the replayed suffix down (see DESIGN.md):
+// candidate is then answered from the nearest checkpoint at or below that
+// point: the untouched genes between the checkpoint and min(idx, q) are
+// folded in from their stored base finish times, and only the suffix from
+// min(idx, q) is replayed. Two further mechanisms cut the replayed suffix
+// down (see DESIGN.md):
 //
 //   - a lexicographic early-exit bound aborts a replay once the running
 //     (makespan, total) key provably loses to the best candidate so far;
@@ -78,14 +80,7 @@ var NoBound = math.Inf(1)
 //     losing candidates: when neither the moved task's outgoing data nor
 //     the slot it vacates can let any other task start earlier than in
 //     the base, every other task finishes no earlier than its base finish
-//     time, which bounds the final key from below;
-//   - a machine-scan memo snapshots the state just before the insertion
-//     point q, which is independent of the candidate machine, so the Y
-//     machines of one insertion point replay that prefix once;
-//   - a convergence cutoff detects that the disturbance has washed out —
-//     past the moved span, no diverged finish time can reach a remaining
-//     task and every machine still in use has its base ready time — and
-//     fast-forwards the rest from stored base finish times.
+//     time, which bounds the final key from below.
 //
 // Every gene the replay does step is sparse where it can be: a gene whose
 // predecessors all kept their base finish times, over edges the candidate
@@ -155,19 +150,12 @@ type DeltaEvaluator struct {
 	// A move replay walks a gene's predecessors only when the gene is
 	// stamped: a predecessor's finish time diverged from the base, or an
 	// incoming edge was repriced. Any other gene starts at max(ready,
-	// baseArr). Stamps are epochs, so clearing them is one increment:
-	// stamps made before the insertion point q carry the replay's pre
-	// epoch (the memo hands it to the other machines of that q), stamps
-	// from q on a fresh one per candidate. walkArr[t] is the data-ready
-	// time the last walk of t computed.
+	// baseArr). Stamps are epochs, one per replay, so clearing them is one
+	// increment. walkArr[t] is the data-ready time the last walk of t
+	// computed.
 	stamp   []uint64
 	epoch   uint64
 	walkArr []float64
-
-	// lastUse[m] is the last base position occupied by a task on machine
-	// m (-1 when unused). The convergence cutoff ignores ready-time
-	// divergence on machines with no tasks left to run.
-	lastUse []int
 
 	// xfer caches every edge's transfer time under the base assignment.
 	// A data item is one DAG edge, so its ID is the edge's slot; between
@@ -179,8 +167,8 @@ type DeltaEvaluator struct {
 	// transfer matrix per predecessor.
 	xfer []float64
 
-	// lastFrom is the first replayed position of the most recent
-	// successful evaluation (len(base) after a Pin), or -1 when the last
+	// lastFrom is the checkpoint position the most recent successful
+	// evaluation started from (len(base) after a Pin), or -1 when the last
 	// replay aborted. FinishInto needs it to merge base and replayed
 	// finish times.
 	lastFrom int
@@ -191,24 +179,11 @@ type DeltaEvaluator struct {
 	lastMove struct {
 		idx, q int
 		m      taskgraph.MachineID
-		// The replay's stamp epochs and dense-tail start, from which
+		// The replay's stamp epoch and dense-tail start, from which
 		// CommitMove tells the genes it walked.
-		pre, cur  uint64
+		epoch     uint64
 		denseFrom int
 		valid     bool
-	}
-
-	// memo caches the replay state just before position q of the moved
-	// string for the most recent (idx, q): that prefix is independent of
-	// the candidate machine, so scanning the Y machines of one insertion
-	// point replays it once instead of Y times.
-	memo struct {
-		valid        bool
-		idx, q, from int
-		maxInfl      int
-		pre          uint64
-		ms, tot      float64
-		ready        []float64
 	}
 
 	// runs is Scan's per-machine-rank run state and bestFin the finish
@@ -229,9 +204,10 @@ type DeltaEvaluator struct {
 func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator {
 	n, l := g.NumTasks(), sys.NumMachines()
 	// Denser checkpoints cost l floats each at pin time; sparser ones
-	// lengthen every replay by up to stride genes. stride ≈ l/4 keeps the
-	// pin overhead near one extra machine-row per gene quartet while
-	// bounding the replay detour well below one full pass.
+	// lengthen every replay's prefix fold by up to stride − 1 genes, each
+	// a stored finish time added in, not a gene replayed. stride ≈ l/4
+	// keeps the pin overhead near one extra machine-row per gene quartet
+	// while keeping the fold a small detour.
 	stride := (l + 3) / 4
 	numCk := (n-1)/stride + 1
 	d := &DeltaEvaluator{
@@ -249,7 +225,6 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		ckTotal:    make([]float64, numCk),
 		work:       make([]float64, n),
 		ready:      make([]float64, l),
-		lastUse:    make([]int, l),
 		xfer:       make([]float64, g.NumItems()),
 		stamp:      make([]uint64, n),
 		walkArr:    make([]float64, n),
@@ -257,7 +232,6 @@ func NewDeltaEvaluator(g *taskgraph.Graph, sys *platform.System) *DeltaEvaluator
 		bestFin:    make([]float64, n),
 		lastFrom:   -1,
 	}
-	d.memo.ready = make([]float64, l)
 	d.ref = newReference(d)
 	return d
 }
@@ -294,7 +268,6 @@ func (d *DeltaEvaluator) Pin(s String) (makespan, total float64) {
 	ready := d.ready
 	for m := range ready {
 		ready[m] = 0
-		d.lastUse[m] = -1
 	}
 	runningMax, runningTotal := 0.0, 0.0
 	for i, gene := range d.base {
@@ -307,7 +280,6 @@ func (d *DeltaEvaluator) Pin(s String) (makespan, total float64) {
 		t, m := gene.Task, gene.Machine
 		d.basePos[t] = i
 		d.baseAssign[t] = m
-		d.lastUse[m] = i
 		arr := 0.0
 		for _, p := range d.g.Preds(t) {
 			// Predecessors precede t in the string (topological order), so
@@ -339,13 +311,12 @@ func (d *DeltaEvaluator) Pin(s String) (makespan, total float64) {
 	d.dirtyFrom = n
 	d.lastFrom = n
 	d.lastMove.valid = false
-	d.memo.valid = false
 	return runningMax, runningTotal
 }
 
-// restore loads the checkpoint covering position first and returns the
-// replay start position (the checkpoint's own position, ≤ first) together
-// with the checkpointed running makespan and total.
+// restore loads the checkpoint covering position first and returns its
+// position (≤ first), from which the prefix fold starts, together with
+// the checkpointed running makespan and total.
 func (d *DeltaEvaluator) restore(first int) (from int, runningMax, runningTotal float64) {
 	c := first / d.stride
 	from = c * d.stride
@@ -354,9 +325,10 @@ func (d *DeltaEvaluator) restore(first int) (from int, runningMax, runningTotal 
 	return from, d.ckMax[c], d.ckTotal[c]
 }
 
-// clean re-establishes the work-array invariant for a replay starting at
-// from: every entry for a task placed before from must hold its base
-// finish time. Only the span a previous replay dirtied needs rewriting.
+// clean re-establishes the work-array invariant for a replay stepping
+// from position from: every entry for a task placed before from must hold
+// its base finish time. Only the span a previous replay dirtied needs
+// rewriting.
 func (d *DeltaEvaluator) clean(from int) {
 	for j := d.dirtyFrom; j < from; j++ {
 		t := d.base[j].Task
@@ -365,30 +337,13 @@ func (d *DeltaEvaluator) clean(from int) {
 	d.dirtyFrom = from
 }
 
-// tailConverged reports whether a replay standing before checkpoint
-// position j has rejoined the base schedule: every machine with work
-// left at positions ≥ j must show exactly the base's checkpointed ready
-// time. Callers additionally ensure no diverged finish time can reach a
-// task at ≥ j through a data dependency (the maxInfl frontier); together
-// the two conditions make the remaining evaluation bit-identical to the
-// base's.
-func (d *DeltaEvaluator) tailConverged(j int) bool {
-	l := d.sys.NumMachines()
-	row := d.ckReady[(j/d.stride)*l:]
-	for mm := 0; mm < l; mm++ {
-		if d.lastUse[mm] >= j && d.ready[mm] != row[mm] {
-			return false
-		}
-	}
-	return true
-}
-
 // MoveMakespan answers the makespan and total finish time of the string
 // obtained from the pinned base by moving the gene at index idx to index
 // q (valid-range coordinates, see MoveInto) on machine m — without
-// materializing that string. Only the suffix from the checkpoint at or
-// below min(idx, q) is replayed, and of that suffix only the part the
-// memo, the convergence cutoff and the bound cannot rule out.
+// materializing that string. The genes between the checkpoint at or below
+// min(idx, q) and min(idx, q) are folded in from the base; only the suffix
+// from min(idx, q) is replayed, and of that suffix only the part the bound
+// cannot rule out.
 //
 // (boundMs, boundTotal) is the early-exit threshold, the lexicographic
 // (makespan, total) key of the best candidate seen so far. Both running
@@ -414,35 +369,29 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		return d.referenceMove(idx, q, m)
 	}
 	n := len(d.base)
-	first := idx
-	if q < first {
-		first = q
+	first := min(idx, q)
+	from, ms, tot := d.restore(first)
+	d.clean(first)
+	base, work, ready, xfer := d.base, d.work, d.ready, d.xfer
+	baseFinish, baseArr, stamp, walkArr := d.baseFinish, d.baseArr, d.stamp, d.walkArr
+	// The genes before first keep their base positions, machines and
+	// inputs, so their finish times are the base's, bit for bit: fold them
+	// in, in string order, instead of stepping them, up to the first whose
+	// running key loses to the bound, where stepping would have aborted.
+	// Like CommitMove's walk this is bookkeeping, not evaluation, and
+	// counts no gene steps.
+	lost := ms > boundMs || (ms == boundMs && tot >= boundTotal)
+	for p := from; p < first && !lost; p++ {
+		g := base[p]
+		f := baseFinish[g.Task]
+		ready[g.Machine] = f
+		if f > ms {
+			ms = f
+		}
+		tot += f
+		lost = ms > boundMs || (ms == boundMs && tot >= boundTotal)
 	}
-	// The moved string's genes before position q do not depend on the
-	// candidate machine, so when the previous call evaluated the same
-	// (idx, q) the memoized before-q state — stamps included — replaces
-	// the prefix replay. maxInfl is the conservative frontier of
-	// divergence through data dependencies: one past the furthest position
-	// any diverged task's successor can occupy in the moved string;
-	// machine-order divergence is caught separately by tailConverged's
-	// ready comparison.
-	var from int
-	var ms, tot float64
-	var pre uint64
-	maxInfl := 0
-	useMemo := d.memo.valid && d.memo.idx == idx && d.memo.q == q
-	if useMemo {
-		from = d.memo.from
-		copy(d.ready, d.memo.ready)
-		ms, tot, maxInfl, pre = d.memo.ms, d.memo.tot, d.memo.maxInfl, d.memo.pre
-	} else {
-		d.memo.valid = false
-		from, ms, tot = d.restore(first)
-		d.clean(from)
-		d.epoch++
-		pre = d.epoch
-	}
-	if ms > boundMs || (ms == boundMs && tot >= boundTotal) {
+	if lost {
 		// The prefix alone already loses to the bound key; the final
 		// makespan and total can only be larger.
 		d.counts.Delta++
@@ -452,99 +401,40 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		return ms, tot, false
 	}
 	movedT := d.base[idx].Task
-	movedM := m
-	hi := q
-	if idx > hi {
-		hi = idx
-	}
 
-	// Failed convergence attempts back off exponentially so a replay that
-	// never converges pays O(log) attempts, not one per checkpoint. Once
-	// the influence frontier passes the last checkpoint no attempt can
-	// succeed anymore, and the disturbance is broad: stamping then costs
-	// more than the sparse steps save, so the rest of the string is
-	// replayed densely (see the loop after this one).
-	stride := d.stride
-	lastCk := ((n - 1) / stride) * stride
+	// maxInfl is the conservative frontier of divergence through data
+	// dependencies: one past the furthest position any diverged task's
+	// successor can occupy in the moved string. Once it passes the last
+	// checkpoint the disturbance is broad: stamping then costs more than
+	// the sparse steps save, so the rest of the string is replayed densely
+	// (see the loop after this one).
+	lastCk := ((n - 1) / d.stride) * d.stride
+	maxInfl := 0
 	denseFrom := n
-	base, work, ready, xfer := d.base, d.work, d.ready, d.xfer
-	baseFinish, baseArr, stamp, walkArr := d.baseFinish, d.baseArr, d.stamp, d.walkArr
 	steps := 0
-	start := from
-	if useMemo {
-		start = q
-	}
-	nextAttempt := (hi/stride + 1) * stride // first checkpoint past hi
-	attemptGap := stride
-	cur := pre
+	d.epoch++
+	cur := d.epoch
 	ok = true
 	// Every gene but the moved one keeps its base machine, so the edge
 	// cache holds the right transfer times for all edges except the
 	// moved task's own, which this candidate's machine reprices until
-	// the walk ends. Genes before q read none of them — the moved task
-	// is stepped at q and the valid range places every successor after
-	// it — so the memoized prefix is unaffected.
-	moving := movedM != d.baseAssign[movedT]
+	// the walk ends.
+	moving := m != d.baseAssign[movedT]
 	if moving {
-		d.priceEdges(movedT, movedM)
+		d.priceEdges(movedT, m)
 	}
 
 	// Walk the moved string's suffix without building it: the base genes
 	// shift by one across [min(idx,q), max(idx,q)], the moved gene lands
 	// at q, and the tail holds the base genes at their base positions.
-	for p := start; p < n; p++ {
-		if p == nextAttempt {
-			// Tail convergence attempt: once the disturbance has provably
-			// washed out, the rest of the schedule IS the base schedule —
-			// fast-forward from stored finish times instead of
-			// re-stepping dependencies.
-			if p > maxInfl && d.tailConverged(p) {
-				for ; p < n; p++ {
-					t := base[p].Task
-					f := baseFinish[t]
-					work[t] = f
-					if f > ms {
-						ms = f
-						if ms > boundMs {
-							ok = false
-							break
-						}
-					}
-					tot += f
-					if ms == boundMs && tot >= boundTotal {
-						ok = false
-						break
-					}
-				}
-				break
-			}
-			if p > maxInfl {
-				nextAttempt = p + attemptGap
-				attemptGap *= 2
-			} else {
-				nextAttempt = p + stride
-			}
-			for nextAttempt%stride != 0 {
-				nextAttempt++
-			}
-		}
+	for p := first; p < n; p++ {
 		var t taskgraph.TaskID
 		var mm taskgraph.MachineID
 		switch {
 		case p == q:
-			if !useMemo {
-				// Snapshot the machine-independent before-q state for the
-				// other candidate machines of this insertion point.
-				d.memo.idx, d.memo.q, d.memo.from = idx, q, from
-				d.memo.ms, d.memo.tot, d.memo.maxInfl, d.memo.pre = ms, tot, maxInfl, pre
-				copy(d.memo.ready, ready)
-				d.memo.valid = true
-			}
-			// Stamps from here on belong to this candidate alone. The
-			// moved gene always walks: its incoming edges may be repriced.
-			d.epoch++
-			cur = d.epoch
-			t, mm = movedT, movedM
+			// The moved gene always walks: its incoming edges may be
+			// repriced.
+			t, mm = movedT, m
 			stamp[t] = cur
 		case p >= idx && p < q:
 			t, mm = base[p+1].Task, base[p+1].Machine
@@ -555,7 +445,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		}
 
 		st := ready[mm]
-		if s := stamp[t]; s == cur || s == pre {
+		if stamp[t] == cur {
 			a := 0.0
 			for _, pr := range d.g.Preds(t) {
 				if arr := work[pr.Task] + xfer[pr.Item]; arr > a {
@@ -595,13 +485,10 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 		}
 		// A diverged finish time — or, after a machine change, the moved
 		// task's repriced outgoing edges even at a tied finish — disturbs
-		// the successors: stamp them and push the influence frontier. A
-		// pre stamp stays: the memo's other machines still need it.
+		// the successors: stamp them and push the influence frontier.
 		if f != baseFinish[t] || (p == q && moving) {
 			for _, sc := range d.g.Succs(t) {
-				if stamp[sc.Task] != pre {
-					stamp[sc.Task] = cur
-				}
+				stamp[sc.Task] = cur
 				if sp := d.basePos[sc.Task] + 1; sp > maxInfl {
 					maxInfl = sp
 				}
@@ -612,9 +499,9 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 			}
 		}
 	}
-	// The dense tail: past q (so the memo never sees it) once the
-	// disturbance is broad, every gene walks its predecessors and nothing
-	// is stamped, since no sparse step or convergence attempt follows.
+	// The dense tail: past q once the disturbance is broad, every gene
+	// walks its predecessors and nothing is stamped, since no sparse step
+	// follows.
 	for p := denseFrom; ok && p < n; p++ {
 		g := base[p]
 		if p <= idx {
@@ -661,7 +548,7 @@ func (d *DeltaEvaluator) MoveMakespan(idx, q int, m taskgraph.MachineID, boundMs
 	}
 	d.lastFrom = from
 	d.lastMove.idx, d.lastMove.q, d.lastMove.m = idx, q, m
-	d.lastMove.pre, d.lastMove.cur, d.lastMove.denseFrom = pre, cur, denseFrom
+	d.lastMove.epoch, d.lastMove.denseFrom = cur, denseFrom
 	d.lastMove.valid = true
 	return ms, tot, true
 }
@@ -766,19 +653,14 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 	// One walk of [from, n) — every shifted position is ≥ from because
 	// from ≤ min(idx, q) — adopts the replayed finish times and the
 	// data-ready times of the genes the replay walked (stamped, or in the
-	// dense tail; a gene it stepped sparsely, or fast-forwarded, kept its
-	// inputs and so its baseArr),
-	// re-derives the checkpoints by rolling the known values forward
-	// (bookkeeping, not evaluation), and refreshes the machine-usage
-	// positions the convergence cutoff consults. A machine whose tasks all
-	// sit before from keeps its lastUse; one that lost its last task to the
-	// move may keep a stale-high value, which only makes tailConverged
-	// check an extra machine — conservative, never unsound.
+	// dense tail; a gene it stepped sparsely, or folded, kept its inputs
+	// and so its baseArr) and re-derives the checkpoints by rolling the
+	// known values forward (bookkeeping, not evaluation).
 	l := d.sys.NumMachines()
 	c := from / d.stride
 	copy(d.ready, d.ckReady[c*l:(c+1)*l])
 	runningMax, runningTotal := d.ckMax[c], d.ckTotal[c]
-	pre, cur, dense := d.lastMove.pre, d.lastMove.cur, d.lastMove.denseFrom
+	cur, dense := d.lastMove.epoch, d.lastMove.denseFrom
 	for j := from; j < n; j++ {
 		if j%d.stride == 0 {
 			cc := j / d.stride
@@ -789,10 +671,9 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 		g := d.base[j]
 		f := d.work[g.Task]
 		d.baseFinish[g.Task] = f
-		if s := d.stamp[g.Task]; s == cur || s == pre || j >= dense {
+		if d.stamp[g.Task] == cur || j >= dense {
 			d.baseArr[g.Task] = d.walkArr[g.Task]
 		}
-		d.lastUse[g.Machine] = j
 		d.ready[g.Machine] = f
 		if f > runningMax {
 			runningMax = f
@@ -804,7 +685,6 @@ func (d *DeltaEvaluator) CommitMove(idx, q int, m taskgraph.MachineID) (makespan
 	d.indexed = false
 	d.lastFrom = n
 	d.lastMove.valid = false
-	d.memo.valid = false
 	return d.baseMs, d.baseTotal
 }
 

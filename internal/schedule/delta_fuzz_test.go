@@ -10,24 +10,31 @@ import (
 
 // FuzzDeltaScan drives ONE long-lived DeltaEvaluator through a decoded
 // sequence of the operations the searches issue — SE-style bounded scans
-// that commit their winner, and fresh pins — and checks every answer
-// against a full Evaluator on the materialized string. assertAgree builds a fresh evaluator per
-// candidate and the bound tests never commit; this target carries the
-// evaluator's cached state (checkpoints, the machine-scan memo, the
-// per-edge transfer times) across aborted machine-changing candidates and
-// commits, which is exactly the state a search leaves behind between
-// calls. Each scan op also runs Scan, the run-collapsed scan, on the same
-// pinned base over a decoded machine list — a rotation of all machines,
-// or a Y-limited one that may omit the base machine — and requires the
-// winner and key of an exhaustive full-pass scan.
+// that commit their winner, SA- and tabu-style commits of one random move,
+// and fresh pins — and checks every answer against a full Evaluator on the
+// materialized string. assertAgree builds a fresh evaluator per candidate
+// and the bound tests never commit; this target carries the evaluator's
+// cached state (checkpoints, data-ready times, stamps, the per-edge
+// transfer times) across aborted machine-changing candidates and commits,
+// which is exactly the state a search leaves behind between calls. Each
+// scan op also runs Scan, the run-collapsed scan, on the same pinned base
+// over a decoded machine list — a rotation of all machines, or a
+// Y-limited one that may omit the base machine — and requires the winner
+// and key of an exhaustive full-pass scan.
 //
 // The seed picks the workload and the initial string; ops is read one
-// byte at a time as an operation code followed by its operands.
+// byte at a time as an operation code followed by its operands: an even
+// code scans, 1 mod 4 pins, 3 mod 4 commits a random move.
 func FuzzDeltaScan(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1001} {
 		f.Add(seed, []byte{0, 3, 1, 0, 9, 2, 2, 5, 1, 0, 17, 0, 0, 200, 7, 1, 4, 0, 11, 3})
 	}
 	f.Add(int64(5), []byte{0, 0, 0, 0, 1, 2, 0, 2, 2, 0, 3, 4, 0, 5, 6})
+	// A committed move whose replay ends in the dense tail (gene 0 onto
+	// another machine), then its identity move, which steps every other
+	// gene sparsely from the data-ready times that commit adopted; then a
+	// further move and a scan.
+	f.Add(int64(1), []byte{3, 0, 0, 0, 3, 0, 0, 0, 3, 3, 0, 1, 0, 5, 1, 0})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		next := func() int {
 			if len(ops) == 0 {
@@ -74,8 +81,8 @@ func FuzzDeltaScan(f *testing.F) {
 		}
 
 		for op := 0; op < 12 && len(ops) > 0; op++ {
-			switch next() % 2 {
-			case 0:
+			switch next() % 4 {
+			case 0, 2:
 				// SE-style scan of one gene: every valid position × every
 				// machine (starting from a decoded rotation, so the base
 				// machine lands anywhere in the order), bounded by the
@@ -134,6 +141,27 @@ func FuzzDeltaScan(f *testing.F) {
 				s = moved
 				agree("CommitMove", s, cms, ctot)
 				sameBase("CommitMove")
+			case 3:
+				// A move as SA proposes it or tabu applies it: any valid
+				// position on any machine, replayed unbounded and committed
+				// whatever its key. Unlike a scan winner it may disturb the
+				// string broadly, so its replay may end in the dense tail,
+				// and the commit must adopt exactly the data-ready times
+				// the replay walked.
+				idx := next() % n
+				s.Positions(pos)
+				lo, hi := schedule.ValidRange(w.Graph, s, pos, idx)
+				q, m := lo+next()%(hi-lo+1), taskgraph.MachineID(next()%l)
+				moved := schedule.Moved(s, idx, q, m)
+				ms, tot, ok := d.MoveMakespan(idx, q, m, schedule.NoBound, schedule.NoBound)
+				if !ok {
+					t.Fatalf("unbounded MoveMakespan(%d,%d,m%d) aborted", idx, q, m)
+				}
+				agree("random MoveMakespan", moved, ms, tot)
+				cms, ctot := d.CommitMove(idx, q, m)
+				s = moved
+				agree("random CommitMove", s, cms, ctot)
+				sameBase("random CommitMove")
 			case 1:
 				// A fresh pin of an unrelated string.
 				s = randomSolution(w, rand.New(rand.NewSource(int64(next()))))

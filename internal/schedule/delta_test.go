@@ -145,10 +145,10 @@ func TestDeltaBoundNeverAbortsWinners(t *testing.T) {
 func TestDeltaMachineOnlyMoveWithTiedFinish(t *testing.T) {
 	// Regression: a machine-only move whose moved task finishes at
 	// exactly its base time still diverges its successors through their
-	// transfer times. The convergence cutoff must not fast-forward past
-	// that. Construction: T0 costs 10 on both m0 and m1, feeds T3 on m2;
-	// Tr(m0,m2) = 1 but Tr(m1,m2) = 100, and neither m0 nor m1 hosts any
-	// later task, so the ready comparison alone cannot catch the change.
+	// transfer times, so sparse replay must stamp them. Construction: T0
+	// costs 10 on both m0 and m1, feeds T3 on m2; Tr(m0,m2) = 1 but
+	// Tr(m1,m2) = 100, and neither m0 nor m1 hosts any later task, so no
+	// machine's ready time shows the change.
 	b := taskgraph.NewBuilder(4)
 	t0 := b.AddTask("")
 	b.AddTask("")
@@ -191,8 +191,8 @@ func TestDeltaMachineOnlyMoveWithTiedFinish(t *testing.T) {
 func TestDeltaAgreesOnHomogeneousIntegerPlatforms(t *testing.T) {
 	// Exact finish-time ties are essentially impossible on random float
 	// workloads but systematic on homogeneous integer platforms, which
-	// is where tie-dependent shortcuts (the convergence cutoff, the
-	// total-bound equality) must prove themselves.
+	// is where tie-dependent shortcuts (sparse replay's divergence test,
+	// the total-bound equality) must prove themselves.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := randomWorkload(seed)
@@ -411,5 +411,98 @@ func TestReferenceModeScoresByFullPasses(t *testing.T) {
 	}
 	if plain.Counts().Delta == 0 {
 		t.Error("the plain evaluator reported no replays")
+	}
+}
+
+func TestReplayCostAccounting(t *testing.T) {
+	// The ledger cost of a replay: the genes from the checkpoint up to
+	// min(idx, q) keep their base finish times and are folded in, not
+	// stepped, so an unbounded replay steps exactly the n − min(idx, q)
+	// genes from there on, and one whose folded prefix already loses to
+	// its bound steps none. Every replay adds one Delta, an aborted one
+	// also an Aborted.
+	w := workload.MustGenerate(workload.Params{
+		Tasks: 48, Machines: 16, Connectivity: 2, Heterogeneity: 5, CCR: 0.8, Seed: 3,
+	})
+	n, l := w.Graph.NumTasks(), w.System.NumMachines()
+	s := randomSolution(w, rand.New(rand.NewSource(3)))
+	d := schedule.NewDeltaEvaluator(w.Graph, w.System)
+	d.Pin(s)
+	stride := d.Stride()
+	if stride < 2 {
+		t.Fatalf("stride %d: every position is a checkpoint", stride)
+	}
+	pos := make([]int, n)
+	s.Positions(pos)
+	fin := make([]float64, n)
+	schedule.NewEvaluator(w.Graph, w.System).FinishInto(s, fin)
+	// prefixKey is the running (makespan, total) key of the base's first k
+	// genes, which every move with min(idx, q) = k shares.
+	prefixKey := func(k int) (ms, tot float64) {
+		for _, g := range s[:k] {
+			if f := fin[g.Task]; f > ms {
+				ms = f
+			}
+			tot += fin[g.Task]
+		}
+		return ms, tot
+	}
+	other := func(idx int) taskgraph.MachineID { return (s[idx].Machine + 1) % taskgraph.MachineID(l) }
+	k := 5 * stride
+	// find returns the first gene from k on whose valid range ok accepts.
+	find := func(ok func(idx, lo, hi int) bool) (idx, lo, hi int) {
+		for idx = k; idx < n; idx++ {
+			if lo, hi = schedule.ValidRange(w.Graph, s, pos, idx); ok(idx, lo, hi) {
+				return idx, lo, hi
+			}
+		}
+		t.Fatal("fixture: no gene admits the move")
+		return
+	}
+	front, frontLo, _ := find(func(idx, lo, _ int) bool { return lo < idx && lo%stride != 0 })
+	back, _, backHi := find(func(idx, _, hi int) bool { return hi > idx && idx%stride != 0 })
+	lastLo, _ := schedule.ValidRange(w.Graph, s, pos, n-1)
+	cases := []struct {
+		name   string
+		idx, q int
+		m      taskgraph.MachineID
+	}{
+		{"identity move of the first gene", 0, 0, s[0].Machine},
+		{"reassigned at a checkpoint", k, k, other(k)},
+		{"reassigned past a checkpoint", k + 1, k + 1, other(k + 1)},
+		{"reassigned just before a checkpoint", k + stride - 1, k + stride - 1, other(k + stride - 1)},
+		{"moved to the front of its range", front, frontLo, s[front].Machine},
+		{"moved to the back of its range", back, backHi, other(back)},
+		{"last gene to the front of its range", n - 1, lastLo, s[n-1].Machine},
+		{"identity move of the last gene", n - 1, n - 1, s[n-1].Machine},
+	}
+	offCheckpoint := false
+	for _, c := range cases {
+		first := min(c.idx, c.q)
+		offCheckpoint = offCheckpoint || first%stride != 0
+		before := d.Counts()
+		if _, _, ok := d.MoveMakespan(c.idx, c.q, c.m, schedule.NoBound, schedule.NoBound); !ok {
+			t.Fatalf("%s: unbounded replay aborted", c.name)
+		}
+		if got, want := d.Counts().Sub(before), (schedule.EvalCounts{Delta: 1, Genes: uint64(n - first)}); got != want {
+			t.Errorf("%s (%d→%d, stride %d): unbounded replay added %+v, want %+v", c.name, c.idx, c.q, stride, got, want)
+		}
+		if first == 0 {
+			continue // no prefix to lose
+		}
+		// The folded prefix alone ties the bound key, and a tie loses.
+		pms, ptot := prefixKey(first)
+		before = d.Counts()
+		ms, tot, ok := d.MoveMakespan(c.idx, c.q, c.m, pms, ptot)
+		if ok || ms != pms || tot != ptot {
+			t.Errorf("%s: bounded by its own prefix key (%v, %v), replay returned (%v, %v, %v), want that key and an abort",
+				c.name, pms, ptot, ms, tot, ok)
+		}
+		if got, want := d.Counts().Sub(before), (schedule.EvalCounts{Delta: 1, Aborted: 1}); got != want {
+			t.Errorf("%s (%d→%d, stride %d): replay losing in its prefix added %+v, want %+v", c.name, c.idx, c.q, stride, got, want)
+		}
+	}
+	if !offCheckpoint {
+		t.Fatal("no case starts its replay off a checkpoint")
 	}
 }

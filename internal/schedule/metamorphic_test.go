@@ -295,8 +295,9 @@ func boundedScan(t *testing.T, d *schedule.DeltaEvaluator, idx, lo, hi, l int) (
 // with every gene at its old position, so every answer must be
 // bit-identical and every finish time permuted. The delta evaluator keeps
 // state by task (finish and data-ready times, stamps) and by position
-// (checkpoints, the memo, the influence frontier); a value filed under the
-// wrong index shows up as a diverging answer, scan winner or effort count.
+// (checkpoints, the prefix fold, the influence frontier); a value filed
+// under the wrong index shows up as a diverging answer, scan winner or
+// effort count.
 func TestMetamorphicTaskRelabelling(t *testing.T) {
 	f := func(seed int64) bool {
 		w := randomWorkload(seed)

@@ -132,8 +132,8 @@ func (r runKey) loses(best Move, keep float64) bool {
 // times (bestFin) summed in the candidate's string order, from the
 // checkpoint a replay would start at, so the sum is bit-identical to the
 // replay's. It stops once the running total reaches bound, where the
-// candidate has lost. Like a convergence fast-forward it folds stored
-// values, so it is not counted as a replay or as gene steps.
+// candidate has lost. Like a replay's prefix fold it adds stored values,
+// so it is not counted as a replay or as gene steps.
 func (d *DeltaEvaluator) memberTotal(idx, q int, bound float64) float64 {
 	c := min(idx, q) / d.stride
 	tot := d.ckTotal[c]

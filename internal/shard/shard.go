@@ -8,7 +8,7 @@
 // the merged string and re-places the tasks consuming them.
 //
 // The exploitable structure is the same one the incremental evaluation
-// engine's convergence cutoff measures (see DESIGN.md): most allocation
+// engine's sparse replay measures (see DESIGN.md): most allocation
 // disturbances stay local, so distant parts of a large string rarely
 // interact within a sweep. Sharding turns that observation into
 // parallelism — per-generation allocation cost falls superlinearly with
